@@ -123,47 +123,6 @@ int main() {
         static_cast<double>(payload.size()) / (1 << 20));
   }
 
-  // Resident dedup index (metadata cache ablation): without the cache the
-  // enclave re-reads and re-authenticates the whole index from the dedup
-  // store on every upload; with config.metadata_cache_bytes set, the index
-  // stays inside the enclave and only writes pass through.
-  {
-    std::printf("\nresident dedup index (metadata cache ablation):\n");
-    for (const std::size_t budget : {std::size_t{0}, std::size_t{4} << 20}) {
-      core::EnclaveConfig config = dedup_config(true);
-      config.metadata_cache_bytes = budget;
-      Deployment d(config);
-      const Bytes payload = d.rng().bytes(size_kb * 1024);
-      d.admin("seed").put_file("/seed", payload);  // index + blob exist
-      d.dedup_store().reset_op_counts();
-      double later_ms = 0;
-      for (std::size_t i = 0; i < uploads; ++i) {
-        const std::string user = "warm" + std::to_string(i);
-        later_ms += d.measure_ms(user, [&](client::UserClient& c) {
-          c.put_file("/inbox-" + user, payload);
-        });
-      }
-      const double index_gets =
-          static_cast<double>(d.dedup_store().op_counts().gets) / uploads;
-      std::printf(
-          "cache %-3s: duplicate upload %.1f ms, %.1f dedup-store gets per "
-          "upload\n",
-          budget != 0 ? "on" : "off", later_ms / uploads, index_gets);
-      const std::string prefix =
-          std::string("resident_index.cache_") + (budget != 0 ? "on" : "off");
-      report.add(prefix + ".upload.mean",
-                 later_ms / static_cast<double>(uploads), "ms");
-      report.add(prefix + ".index_gets_per_upload", index_gets, "count");
-      if (budget != 0) {
-        const auto stats = d.enclave().cache_stats();
-        std::printf(
-            "           index: %llu hits / %llu misses, %llu B resident\n",
-            static_cast<unsigned long long>(stats.dedup_index.hits),
-            static_cast<unsigned long long>(stats.dedup_index.misses),
-            static_cast<unsigned long long>(stats.dedup_index.resident_bytes));
-      }
-    }
-  }
   report.write();
   return 0;
 }

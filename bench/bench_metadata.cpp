@@ -1,10 +1,8 @@
 // E11 — out-of-EPC paged metadata (DESIGN.md §9): per-mutation cost of
 // the dedup index as it grows from thousands to a million entries.
 //
-// The legacy resident index re-serializes and re-seals the WHOLE index on
-// every refcount mutation — O(n) bytes per PUT, O(n^2) to build, which is
-// why its sweep is capped. The authenticated page map touches one page
-// chain plus the in-enclave table: the sweep shows near-flat latency
+// The authenticated page map touches one page chain plus the in-enclave
+// table per refcount mutation: the sweep shows near-flat latency
 // 10k -> 1M entries under one fixed EPC cache budget.
 #include <unistd.h>
 
@@ -182,16 +180,15 @@ void sweep_spill(BenchReport& report, std::size_t n, std::size_t ops,
   report.add(prefix + ".pages", static_cast<double>(pages), "count");
 }
 
-/// TFM-level comparison at small n: duplicate uploads (pure refcount
-/// bumps) with the legacy resident index vs the paged map.
-double tfm_dup_upload_us(bool paged, std::size_t n, std::size_t ops) {
+/// TFM-level cost at small n: duplicate uploads (pure refcount bumps)
+/// through the paged dedup map.
+double tfm_dup_upload_us(std::size_t n, std::size_t ops) {
   TestRng rng(0x7fa);
   sgx::SgxPlatform platform(rng);
   store::MemoryStore content, group, dedup;
   core::EnclaveConfig config;
   config.deduplication = true;
-  config.paged_metadata = paged;
-  config.metadata_cache_bytes = 1 << 20;  // legacy index stays resident
+  config.metadata_cache_bytes = 1 << 20;
   core::TrustedFileManager tfm(core::Stores{content, group, dedup},
                                Bytes(16, 0x11), rng, config, &platform,
                                sgx::measure(to_bytes("bench")));
@@ -235,18 +232,12 @@ int main() {
   }
 
   // Part 2: end-to-end duplicate uploads through the TrustedFileManager.
-  // The legacy sweep is capped: building an n-entry index costs O(n^2)
-  // serialized bytes, and each further mutation re-writes all n entries.
   {
-    const std::size_t legacy_n = smoke_mode() ? 128 : 2'000;
+    const std::size_t n = smoke_mode() ? 128 : 2'000;
     const std::size_t ops = smoke_mode() ? 16 : 200;
-    std::printf("\nduplicate upload end-to-end (n=%zu seeded entries):\n",
-                legacy_n);
-    const double legacy_us = tfm_dup_upload_us(false, legacy_n, ops);
-    const double paged_us = tfm_dup_upload_us(true, legacy_n, ops);
-    std::printf("  legacy resident index: %8.1f us/upload\n", legacy_us);
-    std::printf("  paged amap index:      %8.1f us/upload\n", paged_us);
-    report.add("tfm.legacy.dup_upload.mean", legacy_us, "us");
+    std::printf("\nduplicate upload end-to-end (n=%zu seeded entries):\n", n);
+    const double paged_us = tfm_dup_upload_us(n, ops);
+    std::printf("  paged amap index: %8.1f us/upload\n", paged_us);
     report.add("tfm.paged.dup_upload.mean", paged_us, "us");
   }
 

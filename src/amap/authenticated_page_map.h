@@ -3,9 +3,9 @@
 //
 // The enclave-resident metadata structures (dedup index, hash-header
 // sidecars, ACL/directory records) stop scaling long before the ROADMAP's
-// millions-of-users target: EPC is small (§II-A), and the legacy dedup
-// index was a single blob re-serialized and re-encrypted on every
-// refcount mutation — O(total files) per PUT/DELETE. This layer moves the
+// millions-of-users target: EPC is small (§II-A), and a dedup index kept
+// as a single blob is re-serialized and re-encrypted on every refcount
+// mutation — O(total files) per PUT/DELETE. This layer moves the
 // bulk of that state to untrusted storage as fixed-size encrypted pages
 // while keeping only a compact page table inside the enclave:
 //

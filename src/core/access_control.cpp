@@ -148,9 +148,9 @@ void AccessControl::remove_group_owner(fs::GroupId group, fs::GroupId owner) {
 
 void AccessControl::delete_group(fs::GroupId group) {
   // "It is inefficient to remove a complete group as the member list of
-  // each user has to be checked and possibly modified" — in paged mode
-  // the reverse membership index answers exactly the affected users
-  // (O(members) amap pages); legacy mode still checks every user.
+  // each user has to be checked and possibly modified" — the reverse
+  // membership index answers exactly the affected users (O(members) amap
+  // pages).
   for (const auto& user : tfm_.group_member_users(group)) {
     fs::MemberList members = tfm_.load_member_list(user);
     if (members.is_member(group)) {

@@ -75,22 +75,20 @@ struct EnclaveConfig {
   /// sequential-read prefetcher that feeds it.
   std::size_t content_cache_bytes = 0;
   /// Byte budget for the in-enclave metadata cache (hash-header sidecars,
-  /// decrypted ACL/directory records, resident dedup index). 0 disables
-  /// caching entirely, which keeps behaviour bit-identical to the
-  /// uncached code paths. Cached bytes count against the simulated EPC,
+  /// decrypted ACL/directory records). 0 disables it, which keeps stored
+  /// bytes bit-identical to the cached code paths. Cached bytes count against the simulated EPC,
   /// so oversizing the budget shows up as paging cost, not free speed.
   std::size_t metadata_cache_bytes = 0;
-  /// Out-of-EPC paged metadata (DESIGN.md §9): route the dedup index and
-  /// the header/object cold tiers through `amap::AuthenticatedPageMap` —
-  /// fixed-size AES-GCM pages in the untrusted store pinned by an
-  /// in-enclave Merkle page table — so a refcount mutation touches one
-  /// page instead of re-serializing the whole index, and metadata
-  /// capacity is bounded by disk instead of EPC. The legacy single-blob
-  /// index format is still read/written when this is off.
-  bool paged_metadata = false;
+  /// Kept only for source compatibility with callers that still assign
+  /// it; it selects nothing. The dedup refcounts, the group membership
+  /// index and the header/object cold tier always live in
+  /// `amap::AuthenticatedPageMap`s (DESIGN.md §9). `false` is rejected
+  /// with EnclaveError.
+  bool paged_metadata = true;
   /// EPC byte budget for the clean decrypted-page caches of the paged
-  /// metadata maps (split between the dedup map and the header/object
-  /// cold-tier map). Counts against the simulated EPC.
+  /// metadata maps (1/8 to the group map, the rest split between the
+  /// dedup map, when on, and the header/object cold-tier map). Counts
+  /// against the simulated EPC.
   std::size_t amap_cache_bytes = 256 * 1024;
   /// Logical page size of the paged metadata maps. Every stored page blob
   /// has this plaintext size (padded), so fill levels don't leak.

@@ -1130,7 +1130,6 @@ telemetry::Snapshot SegShareEnclave::telemetry_snapshot() {
     };
     tier("headers", cache.headers);
     tier("objects", cache.objects);
-    tier("dedup_index", cache.dedup_index);
 
     const pfs::ContentCache::Stats cc = tfm_->content_cache_stats();
     snap.gauges["pfs.content_cache.hits"] = cc.hits;
@@ -1163,11 +1162,11 @@ telemetry::Snapshot SegShareEnclave::telemetry_snapshot() {
     snap.gauges["tfm.dedup.refs"] = dedup.refs;
     snap.gauges["tfm.dedup.blobs"] = dedup.blobs;
 
-    // Out-of-EPC paged metadata (DESIGN.md §9). Two instances: the
-    // authoritative dedup map and the header/object cold tier. Names are
+    // Out-of-EPC paged metadata (DESIGN.md §9). Three instances: the
+    // authoritative dedup and group maps and the header/object cold tier
+    // (the dedup tier exports zeros without deduplication). Names are
     // fixed strings — no key material or logical names can leak here.
     const TrustedFileManager::AmapStats am = tfm_->amap_stats();
-    snap.gauges["amap.enabled"] = am.enabled ? 1 : 0;
     const auto amap_tier = [&snap](const char* name,
                                    const amap::AuthenticatedPageMap::Stats& s) {
       const std::string prefix = std::string("amap.") + name;

@@ -148,7 +148,7 @@ class SegShareEnclave : public sgx::Enclave {
 
   /// The explicit trust-boundary export: the enclave's own registry plus
   /// registry views of the platform's SGX cost accounting, the metadata
-  /// cache and the dedup index, merged with the attached untrusted
+  /// cache and the paged metadata maps, merged with the attached untrusted
   /// registry (if any). Everything in it is an aggregate keyed by a
   /// static metric name — no paths, group names or key material (the
   /// registry rejects such names structurally). Same data the kStats

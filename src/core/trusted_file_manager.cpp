@@ -12,36 +12,10 @@ namespace seg::core {
 namespace {
 
 constexpr const char* kGroupListRecord = "grouplist";
-constexpr const char* kGroupDirRecord = "groupdir";
-constexpr const char* kDedupIndexRecord = "__dedup_index";
 constexpr const char* kLinkMagic = "@segshare-dedup-link:";
-
-Bytes serialize_string_list(const std::vector<std::string>& items) {
-  Bytes out;
-  put_u32_be(out, static_cast<std::uint32_t>(items.size()));
-  for (const auto& s : items) {
-    put_u32_be(out, static_cast<std::uint32_t>(s.size()));
-    append(out, to_bytes(s));
-  }
-  return out;
-}
-
-std::vector<std::string> parse_string_list(BytesView data) {
-  std::vector<std::string> items;
-  std::size_t offset = 0;
-  const std::uint32_t count = get_u32_be(data, offset);
-  offset += 4;
-  items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = get_u32_be(data, offset);
-    offset += 4;
-    items.push_back(to_string(slice(data, offset, len)));
-    offset += len;
-  }
-  if (offset != data.size())
-    throw ProtocolError("string list: trailing data");
-  return items;
-}
+// Protected-memory slots guarding the roots of the authoritative amaps.
+constexpr const char* kDedupAmapSlot = "dedup-amap-root";
+constexpr const char* kGroupAmapSlot = "group-amap-root";
 
 }  // namespace
 
@@ -137,64 +111,62 @@ TrustedFileManager::TrustedFileManager(Stores stores, BytesView root_key,
       object_cache_(config.metadata_cache_bytes -
                         config.metadata_cache_bytes / 2,
                     platform) {
-  dedup_index_counters_.budget_bytes = config_.metadata_cache_bytes;
   if (root_key_.size() != 16)
     throw CryptoError("SK_r must be 16 bytes (AES-128)");
+  if (!config_.paged_metadata)
+    throw EnclaveError("paged_metadata = false is no longer supported");
+  // Every §V-E guard mode keeps the amap roots in protected memory, so a
+  // platform is required even when the caller supplies the counters.
+  if (config_.fs_guard != FsRollbackGuard::kNone && platform_ == nullptr)
+    throw EnclaveError("a §V-E guard requires a platform");
   if (config_.fs_guard == FsRollbackGuard::kMonotonicCounter) {
     counters_ = counters;
     if (counters_ == nullptr) {
-      if (platform_ == nullptr)
-        throw EnclaveError("counter guard requires a platform");
       owned_counters_ = std::make_unique<sgx::PlatformCounters>(*platform_);
       counters_ = owned_counters_.get();
     }
     if (!fs_counter_id_) fs_counter_id_ = counters_->create();
     if (!group_counter_id_) group_counter_id_ = counters_->create();
   }
-  if (config_.fs_guard == FsRollbackGuard::kProtectedMemory &&
-      platform_ == nullptr)
-    throw EnclaveError("protected-memory guard requires a platform");
-  if (config_.paged_metadata) {
-    amap::AmapOptions base;
-    base.page_bytes = config_.amap_page_bytes;
-    base.pool = crypto_pool_.get();
-    base.platform = platform_;
-    base.switchless = config_.switchless;
-    base.io = store_io_.get();
-    // Budget split: the membership index is tiny next to the dedup index
-    // and the header/object cold tier, so it gets a 1/8 slice and the
-    // rest is split between dedup (when on) and the meta tier.
-    const std::size_t group_slice = config_.amap_cache_bytes / 8;
-    const std::size_t rest = config_.amap_cache_bytes - group_slice;
-    if (config_.deduplication) {
-      amap::AmapOptions o = base;
-      o.name = "dedup";
-      o.cache_bytes = rest / 2;
-      o.journal_bytes = config_.amap_journal_bytes;
-      dedup_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
-          dedup_store_, crypto::hkdf({}, root_key, to_bytes("amap-dedup"), 16),
-          rng, std::move(o));
-    }
-    {
-      amap::AmapOptions o = base;
-      o.name = "meta";
-      o.cache_bytes = rest - (config_.deduplication ? rest / 2 : 0);
-      meta_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
-          content_store_, crypto::hkdf({}, root_key, to_bytes("amap-meta"), 16),
-          rng, std::move(o));
-    }
+  amap::AmapOptions base;
+  base.page_bytes = config_.amap_page_bytes;
+  base.pool = crypto_pool_.get();
+  base.platform = platform_;
+  base.switchless = config_.switchless;
+  base.io = store_io_.get();
+  // Budget split: the membership index is tiny next to the dedup index
+  // and the header/object cold tier, so it gets a 1/8 slice and the
+  // rest is split between dedup (when on) and the meta tier.
+  const std::size_t group_slice = config_.amap_cache_bytes / 8;
+  const std::size_t rest = config_.amap_cache_bytes - group_slice;
+  if (config_.deduplication) {
     amap::AmapOptions o = base;
-    o.name = "group";
-    o.cache_bytes = group_slice;
+    o.name = "dedup";
+    o.cache_bytes = rest / 2;
     o.journal_bytes = config_.amap_journal_bytes;
-    // Partition the bucket hash on "g:<gid>:" so one group's reverse
-    // membership entries share a chain: deleting a group scans O(members)
-    // pages, not O(store).
-    o.hash_prefix_delimiters = 2;
-    group_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
-        group_store_, crypto::hkdf({}, root_key, to_bytes("amap-group"), 16),
+    dedup_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
+        dedup_store_, crypto::hkdf({}, root_key, to_bytes("amap-dedup"), 16),
         rng, std::move(o));
   }
+  {
+    amap::AmapOptions o = base;
+    o.name = "meta";
+    o.cache_bytes = rest - (config_.deduplication ? rest / 2 : 0);
+    meta_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
+        content_store_, crypto::hkdf({}, root_key, to_bytes("amap-meta"), 16),
+        rng, std::move(o));
+  }
+  amap::AmapOptions o = base;
+  o.name = "group";
+  o.cache_bytes = group_slice;
+  o.journal_bytes = config_.amap_journal_bytes;
+  // Partition the bucket hash on "g:<gid>:" so one group's reverse
+  // membership entries share a chain: deleting a group scans O(members)
+  // pages, not O(store).
+  o.hash_prefix_delimiters = 2;
+  group_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
+      group_store_, crypto::hkdf({}, root_key, to_bytes("amap-group"), 16),
+      rng, std::move(o));
 }
 
 TrustedFileManager::GuardState TrustedFileManager::guard_state() const {
@@ -233,14 +205,12 @@ Bytes TrustedFileManager::read(const std::string& logical) const {
   const bool cacheable = is_metadata_object(logical);
   if (cacheable) {
     if (auto hit = object_cache_.get(logical)) return std::move(*hit);
-    if (meta_amap_) {
-      // Cold tier: the paged map only ever holds records this enclave
-      // validated and wrote through, so a hit carries the same freshness
-      // argument as the EPC-resident object cache (DESIGN.md §9).
-      if (auto hit = meta_amap_->get("o:" + logical)) {
-        object_cache_.put(logical, *hit, hit->size());
-        return std::move(*hit);
-      }
+    // Cold tier: the paged map only ever holds records this enclave
+    // validated and wrote through, so a hit carries the same freshness
+    // argument as the EPC-resident object cache (DESIGN.md §9).
+    if (auto hit = meta_amap_->get("o:" + logical)) {
+      object_cache_.put(logical, *hit, hit->size());
+      return std::move(*hit);
     }
   }
   Bytes content = raw_read_content(logical);
@@ -256,7 +226,7 @@ Bytes TrustedFileManager::read(const std::string& logical) const {
       throw RollbackError("dedup object does not match its name");
     if (cacheable) {
       object_cache_.put(logical, data, data.size());
-      if (meta_amap_) meta_amap_->put("o:" + logical, data);
+      meta_amap_->put("o:" + logical, data);
     }
     return data;
   }
@@ -264,15 +234,15 @@ Bytes TrustedFileManager::read(const std::string& logical) const {
   // poison the cache.
   if (cacheable) {
     object_cache_.put(logical, content, content.size());
-    if (meta_amap_) meta_amap_->put("o:" + logical, content);
+    meta_amap_->put("o:" + logical, content);
   }
   return content;
 }
 
 std::vector<std::string> TrustedFileManager::list(const std::string& dir) const {
-  // read() validates the directory record against the hash tree; in paged
-  // mode the walk streams sibling headers through the amap cold tier
-  // (walk_header), so the resident header cache stays O(path).
+  // read() validates the directory record against the hash tree; the walk
+  // streams sibling headers through the amap cold tier without admitting
+  // them, so the resident header cache stays O(path).
   return fs::Directory::parse(read(dir)).children();
 }
 
@@ -286,7 +256,7 @@ void TrustedFileManager::write(const std::string& logical, BytesView content) {
   if (is_metadata_object(logical)) {
     object_cache_.put(logical, Bytes(content.begin(), content.end()),
                       content.size());
-    if (meta_amap_) meta_amap_->put("o:" + logical, content);
+    meta_amap_->put("o:" + logical, content);
   }
   flush_paged_metadata();
 }
@@ -296,7 +266,7 @@ void TrustedFileManager::remove(const std::string& logical) {
   content_fs_.remove_file(physical(logical));
   if (config_.rollback_protection) tree_on_remove(logical);
   object_cache_.erase(logical);
-  if (meta_amap_) meta_amap_->erase("o:" + logical);
+  meta_amap_->erase("o:" + logical);
   flush_paged_metadata();
 }
 
@@ -311,13 +281,11 @@ void TrustedFileManager::move_object(const std::string& from,
   }
   object_cache_.erase(from);
   object_cache_.erase(to);
-  if (meta_amap_) {
-    meta_amap_->erase("o:" + from);
-    meta_amap_->erase("o:" + to);
-  }
+  meta_amap_->erase("o:" + from);
+  meta_amap_->erase("o:" + to);
   if (is_metadata_object(to) && !(config_.deduplication && is_link(raw))) {
     object_cache_.put(to, raw, raw.size());
-    if (meta_amap_) meta_amap_->put("o:" + to, raw);
+    meta_amap_->put("o:" + to, raw);
   }
 }
 
@@ -378,53 +346,34 @@ void TrustedFileManager::Upload::finish() {
     // §V-A: deduplicate by content MAC; the single encrypted copy lives in
     // the dedup store, the content store holds an indirection.
     const std::string hname = to_hex(dedup_mac_.finish());
-    if (tfm_.paged_dedup()) {
-      // Paged mode: the refcount bump touches one amap page (O(page))
-      // instead of re-serializing the whole index (O(total files)).
-      auto& am = *tfm_.dedup_amap_;
-      const auto rc = am.get("r:" + hname);
+    // The refcount bump touches one amap page (O(page)), independent of
+    // the number of deduplicated files.
+    auto& am = *tfm_.dedup_amap_;
+    const auto rc = am.get("r:" + hname);
+    Bytes encoded;
+    put_u64_be(encoded, rc ? get_u64_be(*rc, 0) + 1 : 1);
+    if (rc) {
+      tfm_.dedup_fs_.remove_file(temp_name_);
+    } else {
+      tfm_.dedup_fs_.rename_file(temp_name_, hname);
+    }
+    am.put("r:" + hname, encoded);
+    if (tfm_.config_.client_side_dedup) {
+      // Remember the plaintext hash so later probes can hit.
+      crypto::Sha256 copy = content_hash_;
+      const std::string chash = to_hex(copy.finish());
+      am.put("c:" + chash, to_bytes(hname));
+      am.put("b:" + hname, to_bytes(chash));
+    }
+    {
       const std::lock_guard<std::mutex> stats_lock(tfm_.dedup_stats_mutex_);
-      Bytes encoded;
       if (rc) {
-        put_u64_be(encoded, get_u64_be(*rc, 0) + 1);
-        tfm_.dedup_fs_.remove_file(temp_name_);
         ++tfm_.dedup_stats_.hits;
       } else {
-        put_u64_be(encoded, 1);
-        tfm_.dedup_fs_.rename_file(temp_name_, hname);
         ++tfm_.dedup_stats_.stores;
         ++tfm_.dedup_stats_.blobs;
       }
-      am.put("r:" + hname, encoded);
       ++tfm_.dedup_stats_.refs;
-      if (tfm_.config_.client_side_dedup) {
-        crypto::Sha256 copy = content_hash_;
-        const std::string chash = to_hex(copy.finish());
-        am.put("c:" + chash, to_bytes(hname));
-        am.put("b:" + hname, to_bytes(chash));
-      }
-    } else {
-      tfm_.with_dedup_index([&](DedupIndex& index) {
-        const auto it = index.refcounts.find(hname);
-        const std::lock_guard<std::mutex> stats_lock(tfm_.dedup_stats_mutex_);
-        if (it != index.refcounts.end()) {
-          ++it->second;
-          tfm_.dedup_fs_.remove_file(temp_name_);
-          ++tfm_.dedup_stats_.hits;
-        } else {
-          tfm_.dedup_fs_.rename_file(temp_name_, hname);
-          index.refcounts[hname] = 1;
-          ++tfm_.dedup_stats_.stores;
-          ++tfm_.dedup_stats_.blobs;
-        }
-        ++tfm_.dedup_stats_.refs;
-        if (tfm_.config_.client_side_dedup) {
-          // Remember the plaintext hash so later probes can hit.
-          crypto::Sha256 copy = content_hash_;
-          index.client_index[to_hex(copy.finish())] = hname;
-        }
-        return true;
-      });
     }
 
     // If the logical file previously pointed at other content, release it.
@@ -432,7 +381,7 @@ void TrustedFileManager::Upload::finish() {
     const Bytes link = make_link(hname);
     tfm_.content_fs_.write_file(tfm_.physical(logical_), link);
     tfm_.object_cache_.erase(logical_);
-    if (tfm_.meta_amap_) tfm_.meta_amap_->erase("o:" + logical_);
+    tfm_.meta_amap_->erase("o:" + logical_);
     if (tfm_.config_.rollback_protection)
       tfm_.tree_on_write(logical_, crypto::Sha256::hash(link));
     tfm_.flush_paged_metadata();
@@ -441,7 +390,7 @@ void TrustedFileManager::Upload::finish() {
 
   tfm_.content_fs_.rename_file(temp_name_, tfm_.physical(logical_));
   tfm_.object_cache_.erase(logical_);
-  if (tfm_.meta_amap_) tfm_.meta_amap_->erase("o:" + logical_);
+  tfm_.meta_amap_->erase("o:" + logical_);
   if (tfm_.config_.rollback_protection)
     tfm_.tree_on_write(logical_, content_hash_.finish());
 }
@@ -456,42 +405,26 @@ bool TrustedFileManager::commit_by_hash(
   if (!config_.deduplication || !config_.client_side_dedup)
     throw ProtocolError("client-side dedup disabled");
   // Probe read-only first: a miss (the common case for novel content)
-  // must not construct a mutable index copy or dirty any pages.
-  std::string hname;
-  if (paged_dedup()) {
-    if (const auto hit = dedup_amap_->get("c:" + to_hex(content_hash)))
-      hname = to_string(*hit);
-  } else {
-    peek_dedup_index([&](const DedupIndex& index) {
-      const auto hit = index.client_index.find(to_hex(content_hash));
-      if (hit != index.client_index.end()) hname = hit->second;
-    });
-  }
-  if (hname.empty()) return false;
+  // must not dirty any pages.
+  const auto hit = dedup_amap_->get("c:" + to_hex(content_hash));
+  if (!hit) return false;
+  const std::string hname = to_string(*hit);
 
-  if (paged_dedup()) {
-    const auto rc = dedup_amap_->get("r:" + hname);
-    Bytes encoded;
-    put_u64_be(encoded, rc ? get_u64_be(*rc, 0) + 1 : 1);
-    dedup_amap_->put("r:" + hname, encoded);
+  const auto rc = dedup_amap_->get("r:" + hname);
+  Bytes encoded;
+  put_u64_be(encoded, rc ? get_u64_be(*rc, 0) + 1 : 1);
+  dedup_amap_->put("r:" + hname, encoded);
+  {
     const std::lock_guard<std::mutex> stats_lock(dedup_stats_mutex_);
     ++dedup_stats_.hits;
     ++dedup_stats_.refs;
-  } else {
-    with_dedup_index([&](DedupIndex& index) {
-      ++index.refcounts[hname];
-      const std::lock_guard<std::mutex> stats_lock(dedup_stats_mutex_);
-      ++dedup_stats_.hits;
-      ++dedup_stats_.refs;
-      return true;
-    });
   }
 
   if (exists(logical)) remove(logical);
   const Bytes link = make_link(hname);
   content_fs_.write_file(physical(logical), link);
   object_cache_.erase(logical);
-  if (meta_amap_) meta_amap_->erase("o:" + logical);
+  meta_amap_->erase("o:" + logical);
   if (config_.rollback_protection)
     tree_on_write(logical, crypto::Sha256::hash(link));
   flush_paged_metadata();
@@ -603,65 +536,41 @@ void TrustedFileManager::save_member_list(const std::string& user,
                                           const fs::MemberList& list) {
   const std::string record = member_record(user);
   const bool is_new = !group_fs_.exists(group_physical(record));
-  // Previous membership for the reverse-index diff (paged mode) — must be
-  // read before the record is overwritten.
+  // Previous membership for the reverse-index diff — must be read before
+  // the record is overwritten.
   std::vector<fs::GroupId> before;
-  if (group_amap_ && !is_new) before = load_member_list(user).groups();
+  if (!is_new) before = load_member_list(user).groups();
   const Bytes content = list.serialize();
   group_fs_.write_file(group_physical(record), content);
   group_on_write(record, content);
-  if (group_amap_) {
-    // Paged mode: register the user and diff the reverse membership
-    // index — O(changed groups) page touches. The legacy groupdir record
-    // (a full user list rewritten on every new user) is not maintained;
-    // enumeration goes through the amap's "u:" registry instead.
-    if (is_new) group_amap_->put(group_user_key(user), BytesView{});
-    const auto& after = list.groups();  // both sides sorted
-    for (const fs::GroupId g : after)
-      if (!std::binary_search(before.begin(), before.end(), g))
-        group_amap_->put(group_member_key(g, user), BytesView{});
-    for (const fs::GroupId g : before)
-      if (!std::binary_search(after.begin(), after.end(), g))
-        group_amap_->erase(group_member_key(g, user));
-    flush_paged_group();
-    return;
-  }
-  if (is_new) {
-    // Track the user in the group directory so member lists are
-    // enumerable (needed by group deletion and startup validation).
-    std::vector<std::string> users = member_list_users();
-    users.push_back(user);
-    std::sort(users.begin(), users.end());
-    const Bytes dir = serialize_string_list(users);
-    group_fs_.write_file(group_physical(kGroupDirRecord), dir);
-    group_on_write(kGroupDirRecord, dir);
-  }
+  // Register the user and diff the reverse membership index: O(changed
+  // groups) page touches.
+  if (is_new) group_amap_->put(group_user_key(user), BytesView{});
+  const auto& after = list.groups();  // both sides sorted
+  for (const fs::GroupId g : after)
+    if (!std::binary_search(before.begin(), before.end(), g))
+      group_amap_->put(group_member_key(g, user), BytesView{});
+  for (const fs::GroupId g : before)
+    if (!std::binary_search(after.begin(), after.end(), g))
+      group_amap_->erase(group_member_key(g, user));
+  flush_paged_group();
 }
 
 std::vector<std::string> TrustedFileManager::member_list_users() const {
-  if (group_amap_) {
-    // Page-streamed scan of the user registry: each visited page is
-    // verified against the pinned-tag table, and only one decrypted page
-    // batch is resident at a time.
-    std::vector<std::string> users;
-    group_amap_->for_each_prefix(
-        "u:", [&](const std::string& key, const Bytes&) {
-          users.push_back(key.substr(2));
-          return true;
-        });
-    std::sort(users.begin(), users.end());
-    return users;
-  }
-  const std::string phys = group_physical(kGroupDirRecord);
-  if (!group_fs_.exists(phys)) return {};
-  const Bytes content = group_fs_.read_file(phys);
-  group_validate(kGroupDirRecord, content);
-  return parse_string_list(content);
+  // Page-streamed scan of the user registry: each visited page is verified
+  // against the pinned-tag table, and only one decrypted page batch is
+  // resident at a time.
+  std::vector<std::string> users;
+  group_amap_->for_each_prefix("u:", [&](const std::string& key, const Bytes&) {
+    users.push_back(key.substr(2));
+    return true;
+  });
+  std::sort(users.begin(), users.end());
+  return users;
 }
 
 std::vector<std::string> TrustedFileManager::group_member_users(
     fs::GroupId group) const {
-  if (!group_amap_) return member_list_users();
   // Partitioned prefix scan: every "g:<gid>:*" key hashes to the prefix's
   // bucket (hash_prefix_delimiters = 2), so this reads exactly the
   // group's own chain — O(members) pages, not O(store).
@@ -761,25 +670,23 @@ std::size_t TrustedFileManager::header_bytes(const HashHeader& header) {
 }
 
 std::optional<TrustedFileManager::HashHeader> TrustedFileManager::load_header(
-    const std::string& logical) const {
+    const std::string& logical, bool admit) const {
   if (auto cached = header_cache_.get(logical)) return cached;
-  if (meta_amap_) {
-    // Cold tier below the EPC-resident header cache: one amap page read
-    // replaces the per-header store round trip + GCM open (the page is
-    // opened once and amortized over every header it holds).
-    if (const auto hit = meta_amap_->get("h:" + logical)) {
-      HashHeader header = HashHeader::parse(*hit, config_.rollback_buckets);
-      header_cache_.put(logical, header, header_bytes(header));
-      return header;
-    }
+  // Cold tier below the EPC-resident header cache: one amap page read
+  // replaces the per-header store round trip + GCM open (the page is
+  // opened once and amortized over every header it holds).
+  std::optional<HashHeader> header;
+  if (const auto hit = meta_amap_->get("h:" + logical)) {
+    header = HashHeader::parse(*hit, config_.rollback_buckets);
+  } else {
+    const auto blob = content_store_.get(header_blob(logical));
+    if (!blob) return std::nullopt;
+    const Bytes plain = crypto::pae_decrypt_with(header_gcm_, *blob,
+                                                 to_bytes("hdr:" + logical));
+    header = HashHeader::parse(plain, config_.rollback_buckets);
+    meta_amap_->put("h:" + logical, plain);
   }
-  const auto blob = content_store_.get(header_blob(logical));
-  if (!blob) return std::nullopt;
-  const Bytes plain =
-      crypto::pae_decrypt_with(header_gcm_, *blob, to_bytes("hdr:" + logical));
-  HashHeader header = HashHeader::parse(plain, config_.rollback_buckets);
-  header_cache_.put(logical, header, header_bytes(header));
-  if (meta_amap_) meta_amap_->put("h:" + logical, plain);
+  if (admit) header_cache_.put(logical, *header, header_bytes(*header));
   return header;
 }
 
@@ -790,33 +697,13 @@ void TrustedFileManager::store_header(const std::string& logical,
                      crypto::pae_encrypt_with(header_gcm_, rng_, plain,
                                               to_bytes("hdr:" + logical)));
   header_cache_.put(logical, header, header_bytes(header));
-  if (meta_amap_) meta_amap_->put("h:" + logical, plain);
+  meta_amap_->put("h:" + logical, plain);
 }
 
 void TrustedFileManager::remove_header(const std::string& logical) {
   content_store_.remove(header_blob(logical));
   header_cache_.erase(logical);
-  if (meta_amap_) meta_amap_->erase("h:" + logical);
-}
-
-std::optional<TrustedFileManager::HashHeader> TrustedFileManager::walk_header(
-    const std::string& logical) const {
-  if (!meta_amap_) return load_header(logical);
-  // Validation walks visit O(siblings) headers: serve warm entries but do
-  // NOT admit misses into the resident header cache — the amap cold tier
-  // (whose pages live out of EPC under their own fixed budget) absorbs
-  // them, so a scan over a huge directory keeps the EPC header footprint
-  // O(path) instead of O(children).
-  if (auto cached = header_cache_.get(logical)) return cached;
-  if (const auto hit = meta_amap_->get("h:" + logical))
-    return HashHeader::parse(*hit, config_.rollback_buckets);
-  const auto blob = content_store_.get(header_blob(logical));
-  if (!blob) return std::nullopt;
-  const Bytes plain =
-      crypto::pae_decrypt_with(header_gcm_, *blob, to_bytes("hdr:" + logical));
-  HashHeader header = HashHeader::parse(plain, config_.rollback_buckets);
-  meta_amap_->put("h:" + logical, plain);
-  return header;
+  meta_amap_->erase("h:" + logical);
 }
 
 std::size_t TrustedFileManager::bucket_of(const std::string& logical) const {
@@ -966,7 +853,7 @@ TrustedFileManager::tree_validate_structure(const std::string& logical) const {
     const std::size_t bucket = bucket_of(cur);
     mset::MsetXorHash recomputed;
     for (const auto& sibling : bucket_children(parent, bucket)) {
-      const auto sibling_header = walk_header(sibling);
+      const auto sibling_header = load_header(sibling, /*admit=*/false);
       if (!sibling_header)
         throw RollbackError("missing hash header for " + sibling);
       recomputed.add(mset_key_, sibling_header->main_hash);
@@ -1023,178 +910,33 @@ void TrustedFileManager::guard_check(const HashHeader& root_header) const {
 
 // ----------------------------------------------------------------- dedup ---
 
-Bytes TrustedFileManager::DedupIndex::serialize() const {
-  Bytes out;
-  put_u32_be(out, static_cast<std::uint32_t>(refcounts.size()));
-  for (const auto& [name, count] : refcounts) {
-    put_u32_be(out, static_cast<std::uint32_t>(name.size()));
-    append(out, to_bytes(name));
-    put_u64_be(out, count);
-  }
-  put_u32_be(out, static_cast<std::uint32_t>(client_index.size()));
-  for (const auto& [hash, name] : client_index) {
-    put_u32_be(out, static_cast<std::uint32_t>(hash.size()));
-    append(out, to_bytes(hash));
-    put_u32_be(out, static_cast<std::uint32_t>(name.size()));
-    append(out, to_bytes(name));
-  }
-  return out;
-}
-
-TrustedFileManager::DedupIndex TrustedFileManager::DedupIndex::parse(
-    BytesView data) {
-  DedupIndex index;
-  std::size_t offset = 0;
-  const std::uint32_t count = get_u32_be(data, offset);
-  offset += 4;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = get_u32_be(data, offset);
-    offset += 4;
-    const std::string name = to_string(slice(data, offset, len));
-    offset += len;
-    index.refcounts[name] = get_u64_be(data, offset);
-    offset += 8;
-  }
-  const std::uint32_t client_count = get_u32_be(data, offset);
-  offset += 4;
-  for (std::uint32_t i = 0; i < client_count; ++i) {
-    const std::uint32_t hash_len = get_u32_be(data, offset);
-    offset += 4;
-    const std::string hash = to_string(slice(data, offset, hash_len));
-    offset += hash_len;
-    const std::uint32_t name_len = get_u32_be(data, offset);
-    offset += 4;
-    index.client_index[hash] = to_string(slice(data, offset, name_len));
-    offset += name_len;
-  }
-  if (offset != data.size()) throw ProtocolError("dedup index: trailing data");
-  return index;
-}
-
-TrustedFileManager::DedupIndex TrustedFileManager::load_dedup_index(
-    std::size_t* serialized_size) const {
-  if (!dedup_fs_.exists(kDedupIndexRecord)) {
-    DedupIndex empty;
-    if (serialized_size != nullptr) *serialized_size = empty.serialize().size();
-    return empty;
-  }
-  const Bytes data = dedup_fs_.read_file(kDedupIndexRecord);
-  if (serialized_size != nullptr) *serialized_size = data.size();
-  return DedupIndex::parse(data);
-}
-
-void TrustedFileManager::save_dedup_index(const DedupIndex& index) {
-  const Bytes data = index.serialize();
-  dedup_fs_.write_file(kDedupIndexRecord, data);
-  if (dedup_index_resident_) set_dedup_index_residency(data.size());
-}
-
-void TrustedFileManager::set_dedup_index_residency(std::size_t bytes) {
-  if (platform_ != nullptr)
-    platform_->adjust_epc_resident(
-        static_cast<std::int64_t>(bytes) -
-        static_cast<std::int64_t>(dedup_index_bytes_));
-  dedup_index_bytes_ = bytes;
-  const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-  dedup_index_counters_.resident_bytes = bytes;
-}
-
-bool TrustedFileManager::with_dedup_index(
-    const std::function<bool(DedupIndex&)>& fn) {
-  if (paged_dedup())
-    throw EnclaveError("with_dedup_index: the paged dedup amap is "
-                       "authoritative in paged mode");
-  const bool resident_mode = config_.metadata_cache_bytes != 0;
-  if (!resident_mode) {
-    DedupIndex index = load_dedup_index();
-    if (!fn(index)) return false;
-    save_dedup_index(index);
-    return true;
-  }
-  if (!dedup_index_resident_) {
-    {
-      const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-      ++dedup_index_counters_.misses;
-    }
-    // The stored record's size IS the serialized size: no redundant
-    // serialize() pass just for residency accounting.
-    std::size_t serialized_size = 0;
-    dedup_index_resident_ = load_dedup_index(&serialized_size);
-    set_dedup_index_residency(serialized_size);
-  } else {
-    const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-    ++dedup_index_counters_.hits;
-  }
-  if (platform_ != nullptr) platform_->charge_epc_touch(0, dedup_index_bytes_);
-  if (!fn(*dedup_index_resident_)) return false;
-  save_dedup_index(*dedup_index_resident_);  // write-through
-  return true;
-}
-
-void TrustedFileManager::peek_dedup_index(
-    const std::function<void(const DedupIndex&)>& fn) const {
-  if (dedup_index_resident_) {
-    {
-      const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-      ++dedup_index_counters_.hits;
-    }
-    if (platform_ != nullptr)
-      platform_->charge_epc_touch(0, dedup_index_bytes_);
-    fn(*dedup_index_resident_);
-    return;
-  }
-  // One throwaway parse, never saved and never promoted to residency: a
-  // probe must not pay (or cause) the mutable-copy round trip.
-  const DedupIndex index = load_dedup_index();
-  fn(index);
-}
-
 void TrustedFileManager::release_dedup_link(const std::string& logical) {
   if (!config_.deduplication || !exists(logical)) return;
   const Bytes content = raw_read_content(logical);
   if (!is_link(content)) return;
   const std::string hname = link_target(content);
-  if (paged_dedup()) {
-    auto& am = *dedup_amap_;
-    const auto rc = am.get("r:" + hname);
-    if (!rc) return;
-    const std::uint64_t refs = get_u64_be(*rc, 0);
-    const std::lock_guard<std::mutex> stats_lock(dedup_stats_mutex_);
-    ++dedup_stats_.releases;
-    if (dedup_stats_.refs > 0) --dedup_stats_.refs;
-    if (refs <= 1) {
-      am.erase("r:" + hname);
-      dedup_fs_.remove_file(hname);
-      // The back-pointer makes last-reference GC O(page): no scan over
-      // the whole client index to find the entry naming this blob.
-      if (const auto chash = am.get("b:" + hname)) {
-        am.erase("c:" + to_string(*chash));
-        am.erase("b:" + hname);
-      }
-      if (dedup_stats_.blobs > 0) --dedup_stats_.blobs;
-    } else {
-      Bytes encoded;
-      put_u64_be(encoded, refs - 1);
-      am.put("r:" + hname, encoded);
+  auto& am = *dedup_amap_;
+  const auto rc = am.get("r:" + hname);
+  if (!rc) return;
+  const std::uint64_t refs = get_u64_be(*rc, 0);
+  const std::lock_guard<std::mutex> stats_lock(dedup_stats_mutex_);
+  ++dedup_stats_.releases;
+  if (dedup_stats_.refs > 0) --dedup_stats_.refs;
+  if (refs <= 1) {
+    am.erase("r:" + hname);
+    dedup_fs_.remove_file(hname);
+    // The back-pointer makes last-reference GC O(page): no scan over the
+    // whole client index to find the entry naming this blob.
+    if (const auto chash = am.get("b:" + hname)) {
+      am.erase("c:" + to_string(*chash));
+      am.erase("b:" + hname);
     }
-    return;
+    if (dedup_stats_.blobs > 0) --dedup_stats_.blobs;
+  } else {
+    Bytes encoded;
+    put_u64_be(encoded, refs - 1);
+    am.put("r:" + hname, encoded);
   }
-  with_dedup_index([&](DedupIndex& index) {
-    const auto it = index.refcounts.find(hname);
-    if (it == index.refcounts.end()) return false;
-    const std::lock_guard<std::mutex> stats_lock(dedup_stats_mutex_);
-    ++dedup_stats_.releases;
-    if (dedup_stats_.refs > 0) --dedup_stats_.refs;
-    if (--it->second == 0) {
-      index.refcounts.erase(it);
-      dedup_fs_.remove_file(hname);
-      std::erase_if(index.client_index, [&](const auto& entry) {
-        return entry.second == hname;
-      });
-      if (dedup_stats_.blobs > 0) --dedup_stats_.blobs;
-    }
-    return true;
-  });
 }
 
 bool TrustedFileManager::is_link(BytesView content) {
@@ -1227,9 +969,7 @@ std::uint64_t TrustedFileManager::group_store_bytes() const {
 }
 
 TrustedFileManager::CacheStats TrustedFileManager::cache_stats() const {
-  const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-  return CacheStats{header_cache_.counters(), object_cache_.counters(),
-                    dedup_index_counters_};
+  return CacheStats{header_cache_.counters(), object_cache_.counters()};
 }
 
 TrustedFileManager::DedupStats TrustedFileManager::dedup_stats() const {
@@ -1240,25 +980,16 @@ TrustedFileManager::DedupStats TrustedFileManager::dedup_stats() const {
 std::optional<std::uint64_t> TrustedFileManager::dedup_refcount(
     const std::string& hname) const {
   if (!config_.deduplication) return std::nullopt;
-  if (paged_dedup()) {
-    if (const auto rc = dedup_amap_->get("r:" + hname))
-      return get_u64_be(*rc, 0);
-    return std::nullopt;
-  }
-  std::optional<std::uint64_t> out;
-  peek_dedup_index([&](const DedupIndex& index) {
-    const auto it = index.refcounts.find(hname);
-    if (it != index.refcounts.end()) out = it->second;
-  });
-  return out;
+  if (const auto rc = dedup_amap_->get("r:" + hname))
+    return get_u64_be(*rc, 0);
+  return std::nullopt;
 }
 
 TrustedFileManager::AmapStats TrustedFileManager::amap_stats() const {
   AmapStats out;
-  out.enabled = config_.paged_metadata;
   if (dedup_amap_) out.dedup = dedup_amap_->stats();
-  if (meta_amap_) out.meta = meta_amap_->stats();
-  if (group_amap_) out.group = group_amap_->stats();
+  out.meta = meta_amap_->stats();
+  out.group = group_amap_->stats();
   return out;
 }
 
@@ -1266,90 +997,57 @@ std::uint64_t TrustedFileManager::compact_paged_metadata() {
   std::uint64_t reclaimed = 0;
   if (dedup_amap_) {
     reclaimed += dedup_amap_->compact();
-    guard_update_amap();
+    guard_update_amap(*dedup_amap_, kDedupAmapSlot);
   }
-  if (group_amap_) {
-    reclaimed += group_amap_->compact();
-    guard_update_group_amap();
-  }
+  reclaimed += group_amap_->compact();
+  guard_update_amap(*group_amap_, kGroupAmapSlot);
   // The meta tier is a cache, so compaction is pure space reclamation —
   // its root is not guarded.
-  if (meta_amap_) reclaimed += meta_amap_->compact();
+  reclaimed += meta_amap_->compact();
   return reclaimed;
 }
 
 // ------------------------------------------------------- paged metadata ---
 
 void TrustedFileManager::flush_paged_metadata() {
-  if (dedup_amap_ && dedup_amap_->flush()) guard_update_amap();
-}
-
-void TrustedFileManager::guard_update_amap() {
-  // The amap root is guarded through protected memory in BOTH §V-E guard
-  // modes: a per-mutation monotonic-counter increment would cost the
-  // modeled 100 ms and burn through the 1M wear limit at production write
-  // rates, defeating the O(page) goal (DESIGN.md §9.3). kNone keeps the
-  // paper's baseline: no cross-restart freshness for the index either.
-  if (config_.fs_guard == FsRollbackGuard::kNone || platform_ == nullptr)
-    return;
-  const auto root = dedup_amap_->root();
-  platform_->protected_put(measurement_, "dedup-amap-root",
-                           Bytes(root.begin(), root.end()));
-}
-
-void TrustedFileManager::guard_check_amap() {
-  if (dedup_amap_ == nullptr) return;
-  if (config_.fs_guard == FsRollbackGuard::kNone || platform_ == nullptr) {
-    dedup_amap_->reopen(std::nullopt);
-    return;
-  }
-  const auto guarded = platform_->protected_get(measurement_, "dedup-amap-root");
-  if (!guarded.has_value()) {
-    dedup_amap_->reopen(std::nullopt);
-    if (dedup_amap_->entry_count() != 0)
-      throw RollbackError("dedup amap guard missing");
-    return;
-  }
-  crypto::Sha256::Digest expected{};
-  if (guarded->size() != expected.size())
-    throw RollbackError("dedup amap guard is malformed");
-  std::copy(guarded->begin(), guarded->end(), expected.begin());
-  dedup_amap_->reopen(expected);
+  if (dedup_amap_ && dedup_amap_->flush())
+    guard_update_amap(*dedup_amap_, kDedupAmapSlot);
 }
 
 void TrustedFileManager::flush_paged_group() {
-  if (group_amap_ && group_amap_->flush()) guard_update_group_amap();
+  if (group_amap_->flush()) guard_update_amap(*group_amap_, kGroupAmapSlot);
 }
 
-void TrustedFileManager::guard_update_group_amap() {
-  // Same §V-E policy as the dedup amap: protected memory in both guard
-  // modes (a per-mutation counter bump would defeat the O(page) goal).
-  if (config_.fs_guard == FsRollbackGuard::kNone || platform_ == nullptr)
-    return;
-  const auto root = group_amap_->root();
-  platform_->protected_put(measurement_, "group-amap-root",
-                           Bytes(root.begin(), root.end()));
+void TrustedFileManager::guard_update_amap(amap::AuthenticatedPageMap& map,
+                                           const char* slot) {
+  // The amap roots are guarded through protected memory in BOTH §V-E
+  // guard modes: a per-mutation monotonic-counter increment would cost the
+  // modeled 100 ms and burn through the 1M wear limit at production write
+  // rates, defeating the O(page) goal (DESIGN.md §9.3). kNone keeps the
+  // paper's baseline: no cross-restart freshness for the maps either.
+  if (config_.fs_guard == FsRollbackGuard::kNone) return;
+  const auto root = map.root();
+  platform_->protected_put(measurement_, slot, Bytes(root.begin(), root.end()));
 }
 
-void TrustedFileManager::guard_check_group_amap() {
-  if (group_amap_ == nullptr) return;
-  if (config_.fs_guard == FsRollbackGuard::kNone || platform_ == nullptr) {
-    group_amap_->reopen(std::nullopt);
+void TrustedFileManager::guard_check_amap(amap::AuthenticatedPageMap& map,
+                                          const char* slot) {
+  if (config_.fs_guard == FsRollbackGuard::kNone) {
+    map.reopen(std::nullopt);
     return;
   }
-  const auto guarded =
-      platform_->protected_get(measurement_, "group-amap-root");
+  const auto guarded = platform_->protected_get(measurement_, slot);
   if (!guarded.has_value()) {
-    group_amap_->reopen(std::nullopt);
-    if (group_amap_->entry_count() != 0)
-      throw RollbackError("group amap guard missing");
+    map.reopen(std::nullopt);
+    if (map.entry_count() != 0)
+      throw RollbackError(std::string(slot) + " guard missing");
     return;
   }
   crypto::Sha256::Digest expected{};
   if (guarded->size() != expected.size())
-    throw RollbackError("group amap guard is malformed");
+    throw RollbackError(std::string(slot) + " guard is malformed");
   std::copy(guarded->begin(), guarded->end(), expected.begin());
-  group_amap_->reopen(expected);
+  map.reopen(expected);
 }
 
 void TrustedFileManager::clear_caches() {
@@ -1358,13 +1056,7 @@ void TrustedFileManager::clear_caches() {
   content_cache_->clear();
   // The meta amap is a cache tier: a restart drops it cold (its pages are
   // deleted, not revalidated — nothing in it survives a trust boundary).
-  if (meta_amap_) meta_amap_->clear();
-  dedup_index_resident_.reset();
-  if (dedup_index_bytes_ != 0 && platform_ != nullptr)
-    platform_->adjust_epc_resident(-static_cast<std::int64_t>(dedup_index_bytes_));
-  dedup_index_bytes_ = 0;
-  const std::lock_guard<std::mutex> lock(dedup_stats_mutex_);
-  dedup_index_counters_.resident_bytes = 0;
+  meta_amap_->clear();
 }
 
 // ------------------------------------------------------------ maintenance ---
@@ -1373,26 +1065,19 @@ void TrustedFileManager::startup_validation() {
   // Cached metadata was authenticated against the previous trusted state;
   // after a restart (or restore) it must be re-derived from the stores.
   clear_caches();
-  // Reload the dedup amap's page table from the store and (guard modes)
-  // check it against the protected-memory root: a rolled-back or
-  // tampered-with table fails closed here, before any request runs.
-  guard_check_amap();
-  guard_check_group_amap();
+  // Reload the authoritative amaps' page tables from the stores and (guard
+  // modes) check them against their protected-memory roots: a rolled-back
+  // or tampered-with table fails closed here, before any request runs.
+  if (dedup_amap_) guard_check_amap(*dedup_amap_, kDedupAmapSlot);
+  guard_check_amap(*group_amap_, kGroupAmapSlot);
   // Rebuild the group-store root from disk and compare with the guard.
+  // Member lists are enumerated from the just-revalidated membership
+  // index, a page-streamed scan whose freshness the amap guard vouches for.
   group_record_hashes_.clear();
   group_root_ = mset::MsetXorHash{};
-  std::vector<std::string> records = {kGroupListRecord, kGroupDirRecord};
-  if (group_amap_) {
-    // Paged mode: member lists are enumerated from the just-revalidated
-    // membership index — a page-streamed scan whose freshness the amap
-    // guard vouches for, instead of the legacy groupdir record.
-    for (const auto& user : member_list_users())
-      records.push_back(member_record(user));
-  } else if (group_fs_.exists(group_physical(kGroupDirRecord))) {
-    const Bytes dir = group_fs_.read_file(group_physical(kGroupDirRecord));
-    for (const auto& user : parse_string_list(dir))
-      records.push_back(member_record(user));
-  }
+  std::vector<std::string> records = {kGroupListRecord};
+  for (const auto& user : member_list_users())
+    records.push_back(member_record(user));
   for (const auto& record : records) {
     if (!group_fs_.exists(group_physical(record))) continue;
     const auto hash =
@@ -1458,8 +1143,8 @@ void TrustedFileManager::accept_restored_state() {
   guard_update_group();
   // §V-G: the restored amap state (already reopened with no root check
   // above) becomes authoritative — re-arm the guards.
-  if (dedup_amap_ != nullptr) guard_update_amap();
-  if (group_amap_ != nullptr) guard_update_group_amap();
+  if (dedup_amap_) guard_update_amap(*dedup_amap_, kDedupAmapSlot);
+  guard_update_amap(*group_amap_, kGroupAmapSlot);
   if (config_.rollback_protection && config_.fs_guard != FsRollbackGuard::kNone) {
     auto root = load_header("/");
     if (root) {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,9 +99,9 @@ class TrustedFileManager {
   /// against the hash tree up to the guarded root.
   Bytes read(const std::string& logical) const;
   /// Children of a directory object: a validated read of the directory
-  /// record, parsed. In paged mode the validation walk streams sibling
-  /// headers through the amap cold tier instead of pinning them in the
-  /// resident header cache, so listing a huge flat directory keeps the
+  /// record, parsed. The validation walk streams sibling headers through
+  /// the amap cold tier instead of pinning them in the resident header
+  /// cache, so listing a huge flat directory keeps the
   /// EPC header footprint O(path), not O(children).
   std::vector<std::string> list(const std::string& dir) const;
   void write(const std::string& logical, BytesView content);
@@ -178,16 +177,13 @@ class TrustedFileManager {
   bool member_list_exists(const std::string& user) const;
   fs::MemberList load_member_list(const std::string& user) const;
   void save_member_list(const std::string& user, const fs::MemberList& list);
-  /// All users that have a member list (needed by group deletion, which the
-  /// paper notes is the one deliberately inefficient operation). Paged mode
-  /// enumerates the group amap's user registry instead of re-reading the
-  /// legacy groupdir record.
+  /// All users that have a member list, enumerated from the group amap's
+  /// user registry.
   std::vector<std::string> member_list_users() const;
-  /// Users that are members of `group`. Paged mode answers from the group
-  /// amap's reverse membership index — a partitioned prefix scan that reads
-  /// O(members) pages, so deleting a group no longer scans every user in
-  /// the store. Legacy mode falls back to member_list_users() (the caller
-  /// filters by actual membership, exactly as before).
+  /// Users that are members of `group`, answered from the group amap's
+  /// reverse membership index — a partitioned prefix scan that reads
+  /// O(members) pages, so deleting a group (the paper's one deliberately
+  /// inefficient operation) does not scan every user in the store.
   std::vector<std::string> group_member_users(fs::GroupId group) const;
 
   // ---- accounting / maintenance -------------------------------------------
@@ -198,12 +194,10 @@ class TrustedFileManager {
 
   /// Snapshot of the in-enclave metadata cache (config.metadata_cache_bytes).
   struct CacheStats {
-    CacheCounters headers;      // rollback-tree hash-header sidecars
-    CacheCounters objects;      // decrypted ACL / directory records
-    CacheCounters dedup_index;  // resident dedup index (hits = resident uses)
+    CacheCounters headers;  // rollback-tree hash-header sidecars
+    CacheCounters objects;  // decrypted ACL / directory records
     std::uint64_t resident_bytes() const {
-      return headers.resident_bytes + objects.resident_bytes +
-             dedup_index.resident_bytes;
+      return headers.resident_bytes + objects.resident_bytes;
     }
   };
   CacheStats cache_stats() const;
@@ -233,24 +227,21 @@ class TrustedFileManager {
   DedupStats dedup_stats() const;
 
   /// Read-only dedup probe: live references behind a dedup-store name, or
-  /// nullopt when unknown. Paged mode reads one amap page; legacy mode
-  /// goes through peek_dedup_index() so the probe never constructs a
-  /// mutable full-index copy.
+  /// nullopt when unknown. Reads one amap page.
   std::optional<std::uint64_t> dedup_refcount(const std::string& hname) const;
 
-  /// Out-of-EPC paged metadata stats (config.paged_metadata; DESIGN.md
-  /// §9), exported via telemetry_snapshot() as amap.*.
+  /// Out-of-EPC paged metadata stats (DESIGN.md §9), exported via
+  /// telemetry_snapshot() as amap.*. `dedup` stays zero without dedup.
   struct AmapStats {
-    bool enabled = false;
     amap::AuthenticatedPageMap::Stats dedup;  // authoritative dedup index
     amap::AuthenticatedPageMap::Stats meta;   // header/object cold tier
     amap::AuthenticatedPageMap::Stats group;  // membership reverse index
   };
   AmapStats amap_stats() const;
 
-  /// Maintenance: re-packs sparse page chains of the authoritative paged
-  /// maps after delete storms and re-guards their roots. No-op without
-  /// paged metadata. Returns total page slots reclaimed.
+  /// Maintenance: re-packs sparse page chains of the paged maps after
+  /// delete storms and re-guards the authoritative roots. Returns total
+  /// page slots reclaimed.
   std::uint64_t compact_paged_metadata();
 
   /// Re-derives and checks the group-store root hash after a restart; also
@@ -282,7 +273,14 @@ class TrustedFileManager {
     static HashHeader parse(BytesView data, std::size_t expected_buckets);
   };
 
-  std::optional<HashHeader> load_header(const std::string& logical) const;
+  /// Header lookup: resident header cache, then the amap cold tier, then
+  /// the store. `admit = false` is for validation walks over many
+  /// siblings: warm entries are served but misses are NOT admitted into
+  /// the resident header_cache_ (the amap cold tier, whose pages live out
+  /// of EPC under their own budget, absorbs them), so a walk across a huge
+  /// directory (list, startup validation) costs O(path) resident headers.
+  std::optional<HashHeader> load_header(const std::string& logical,
+                                        bool admit = true) const;
   void store_header(const std::string& logical, const HashHeader& header);
   void remove_header(const std::string& logical);
   std::size_t bucket_of(const std::string& logical) const;
@@ -311,39 +309,8 @@ class TrustedFileManager {
   /// Tree-children of directory `dir` that fall in bucket `bucket`.
   std::vector<std::string> bucket_children(const std::string& dir,
                                            std::size_t bucket) const;
-  /// Header load for validation walks over many siblings: in paged mode
-  /// it streams through the amap cold tier WITHOUT admitting the header
-  /// into the resident header_cache_, so a walk across a huge directory
-  /// (list, startup validation) costs O(path) resident headers. Legacy
-  /// mode delegates to load_header (the resident cache IS the only warm
-  /// tier there).
-  std::optional<HashHeader> walk_header(const std::string& logical) const;
 
   // --- dedup (§V-A) ---
-  struct DedupIndex {
-    std::map<std::string, std::uint64_t> refcounts;  // hName -> references
-    // Plaintext-hash → hName lookup for the client-side dedup probe.
-    std::map<std::string, std::string> client_index;
-    Bytes serialize() const;
-    static DedupIndex parse(BytesView data);
-  };
-  /// Loads the legacy single-blob index; when `serialized_size` is given
-  /// it receives the stored record's plaintext size (which IS the
-  /// serialized size — no extra serialize() round trip for residency
-  /// accounting).
-  DedupIndex load_dedup_index(std::size_t* serialized_size = nullptr) const;
-  void save_dedup_index(const DedupIndex& index);
-  void set_dedup_index_residency(std::size_t bytes);
-  /// Runs `fn` over the dedup index; when `fn` returns true the mutated
-  /// index is persisted. With the metadata cache enabled the index stays
-  /// resident after first load and saves are write-through; otherwise each
-  /// call is a parse/serialize round trip, exactly as before. Must not be
-  /// used in paged mode (the amap is authoritative there).
-  bool with_dedup_index(const std::function<bool(DedupIndex&)>& fn);
-  /// Read-only view of the legacy index for probes: serves the resident
-  /// copy when there is one, otherwise a single throwaway parse — never a
-  /// mutable copy, never a save.
-  void peek_dedup_index(const std::function<void(const DedupIndex&)>& fn) const;
   /// Decrements the refcount behind `logical`'s dedup link (if any) and
   /// garbage-collects the shared blob on last reference. The shared
   /// release step of remove(), write() and Upload::finish().
@@ -352,40 +319,35 @@ class TrustedFileManager {
   static std::string link_target(BytesView content);
   static Bytes make_link(const std::string& hname);
 
-  // --- paged metadata (config.paged_metadata; DESIGN.md §9) ---
+  // --- paged metadata (DESIGN.md §9) ---
   //
-  // Dedup amap (authoritative when paged): "r:<hname>" → u64 refcount,
-  // "c:<content-hash>" → hname (client probe), "b:<hname>" → content hash
-  // (back-pointer: blob GC erases its client entry in O(page) instead of
-  // scanning the whole client index). Meta amap (cold tier below
-  // header_cache_/object_cache_, cleared on restart): "h:<logical>" →
-  // serialized HashHeader, "o:<logical>" → validated metadata object.
-  bool paged_dedup() const {
-    return config_.paged_metadata && config_.deduplication;
-  }
-  /// Drain barrier at the end of every dedup-mutating operation: writes
-  /// the dedup amap's dirty pages back and re-guards its root. The meta
-  /// amap needs no barrier (pure cache; its internal auto-flush only
-  /// bounds EPC).
-  void flush_paged_metadata();
-  void guard_update_amap();
-  /// Reopens the dedup amap against the guarded root (restart path).
-  void guard_check_amap();
-
-  // Group amap (paged mode, DESIGN.md §9.6): authoritative membership
-  // index in the group store. "u:<user>" → {} registers a user with a
-  // member list; "g:<gid>:<user>" → {} is the reverse membership index.
-  // The map partitions its bucket hash on the first two ':' spans, so all
-  // of one group's members share one chain and group deletion scans
-  // O(members) pages. Its root is guarded like the dedup amap's.
-  bool paged_groups() const { return config_.paged_metadata; }
+  // Dedup amap (authoritative; dedup mode only): "r:<hname>" → u64
+  // refcount, "c:<content-hash>" → hname (client probe), "b:<hname>" →
+  // content hash (back-pointer: blob GC erases its client entry in O(page)
+  // instead of scanning the whole client index). Meta amap (cold tier
+  // below header_cache_/object_cache_, cleared on restart): "h:<logical>"
+  // → serialized HashHeader, "o:<logical>" → validated metadata object.
+  //
+  // Group amap (DESIGN.md §9.6): authoritative membership index in the
+  // group store. "u:<user>" → {} registers a user with a member list;
+  // "g:<gid>:<user>" → {} is the reverse membership index. The map
+  // partitions its bucket hash on the first two ':' spans, so all of one
+  // group's members share one chain and group deletion scans O(members)
+  // pages.
   static std::string group_user_key(const std::string& user);
   static std::string group_member_key(fs::GroupId group,
                                       const std::string& user);
-  /// Drain barrier after every membership mutation.
+  /// Drain barriers: write back the authoritative map's dirty pages and
+  /// re-guard its root — after every dedup-mutating operation and every
+  /// membership mutation respectively. The meta amap needs no barrier
+  /// (pure cache; its internal auto-flush only bounds EPC).
+  void flush_paged_metadata();
   void flush_paged_group();
-  void guard_update_group_amap();
-  void guard_check_group_amap();
+  /// Guards an authoritative map's root in protected-memory slot `slot`
+  /// (no-op under kNone).
+  void guard_update_amap(amap::AuthenticatedPageMap& map, const char* slot);
+  /// Reopens `map` against the root guarded in `slot` (restart path).
+  void guard_check_amap(amap::AuthenticatedPageMap& map, const char* slot);
 
   // --- group store guard ---
   void group_on_write(const std::string& record, BytesView content);
@@ -445,22 +407,16 @@ class TrustedFileManager {
   // config budget disables them and keeps the uncached code paths exact).
   mutable LruCache<HashHeader> header_cache_;
   mutable LruCache<Bytes> object_cache_;
-  // Resident dedup index (metadata cache enabled + dedup mode only). The
-  // index itself is touched only under the exclusive fs lock (all dedup
-  // mutations are write paths); the counters get their own mutex so
-  // cache_stats() can poll them while uploads run.
+  // Dedup accounting gets its own mutex so dedup_stats() can poll it
+  // while uploads run.
   mutable std::mutex dedup_stats_mutex_;
-  mutable std::optional<DedupIndex> dedup_index_resident_;
-  mutable CacheCounters dedup_index_counters_;
   DedupStats dedup_stats_;  // guarded by dedup_stats_mutex_
-  std::uint64_t dedup_index_bytes_ = 0;  // platform-registered residency
-  // Paged metadata maps (null unless config.paged_metadata). Both are
-  // internally synchronized; meta_amap_ is mutable because read paths
-  // populate the cold tier under the shared fs lock.
+  // Paged metadata maps (dedup_amap_ is null without deduplication). All
+  // are internally synchronized; meta_amap_ is mutable because read paths
+  // populate the cold tier under the shared fs lock, group_amap_ because
+  // member enumerations are scans from const read paths.
   std::unique_ptr<amap::AuthenticatedPageMap> dedup_amap_;
   mutable std::unique_ptr<amap::AuthenticatedPageMap> meta_amap_;
-  // Group membership index (paged mode). Mutable: member enumerations are
-  // scans from const read paths; the map is internally synchronized.
   mutable std::unique_ptr<amap::AuthenticatedPageMap> group_amap_;
 };
 

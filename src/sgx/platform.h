@@ -151,8 +151,8 @@ class SgxPlatform {
   /// adjust_epc_resident() is added on top.
   void charge_epc_touch(std::uint64_t bytes_resident, std::uint64_t bytes_touched);
 
-  /// Registers long-lived enclave-resident bytes (metadata caches, the
-  /// resident dedup index). Charged against the EPC size on every
+  /// Registers long-lived enclave-resident bytes (metadata caches, amap
+  /// page caches and tables). Charged against the EPC size on every
   /// subsequent charge_epc_touch().
   void adjust_epc_resident(std::int64_t delta);
   std::uint64_t epc_resident_bytes() const;

@@ -208,36 +208,6 @@ TEST(MetadataCacheTest, TinyBudgetMatchesCacheOffBitForBit) {
   EXPECT_EQ(cached.tfm->cache_stats().headers.resident_bytes, 0u);
 }
 
-TEST(MetadataCacheTest, DedupIndexStaysResidentAndWritesThrough) {
-  EnclaveConfig config;
-  config.deduplication = true;
-  config.metadata_cache_bytes = 1 << 20;
-  World world(config);
-
-  auto first = world.tfm->begin_upload("/a");
-  first->append(to_bytes("same bytes"));
-  first->finish();  // first index use: miss, becomes resident
-  auto second = world.tfm->begin_upload("/b");
-  second->append(to_bytes("same bytes"));
-  second->finish();  // resident hit
-
-  const auto stats = world.tfm->cache_stats();
-  EXPECT_EQ(stats.dedup_index.misses, 1u);
-  EXPECT_GE(stats.dedup_index.hits, 1u);
-  EXPECT_GT(stats.dedup_index.resident_bytes, 0u);
-
-  // Write-through: a fresh manager (no resident index) sees refcount 2 —
-  // removing one reference keeps the shared blob alive.
-  EnclaveConfig uncached = config;
-  uncached.metadata_cache_bytes = 0;
-  auto cold = std::make_unique<TrustedFileManager>(
-      Stores{world.content, world.group, world.dedup}, Bytes(16, 0x11),
-      world.rng, uncached, &world.platform,
-      sgx::measure(to_bytes("test-enclave")));
-  cold->remove("/a");
-  EXPECT_EQ(cold->read("/b"), to_bytes("same bytes"));
-}
-
 TEST(MetadataCacheTest, ResidencyIsChargedToTheEpcModel) {
   sgx::CostModel model;
   model.epc_size_bytes = 64;  // tiny EPC: any resident cache spills
@@ -249,8 +219,14 @@ TEST(MetadataCacheTest, ResidencyIsChargedToTheEpcModel) {
   world.tfm->read("/f");
   world.tfm->read("/f");
 
+  // The paged maps charge their page caches, dirty pages and page tables
+  // to the same model, so the platform total reconciles with both tiers.
+  std::uint64_t amap_resident = 0;
+  const auto amap = world.tfm->amap_stats();
+  for (const auto* s : {&amap.dedup, &amap.meta, &amap.group})
+    amap_resident += s->cache_resident_bytes + s->dirty_bytes + s->table_bytes;
   EXPECT_EQ(world.platform.epc_resident_bytes(),
-            world.tfm->cache_stats().resident_bytes());
+            world.tfm->cache_stats().resident_bytes() + amap_resident);
   EXPECT_GT(world.platform.epc_resident_bytes(), 0u);
   EXPECT_GT(world.platform.stats().epc_pages_in, 0u);
 }

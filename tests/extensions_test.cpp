@@ -3,6 +3,8 @@
 // guards, replication, and backup restore.
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "common/error.h"
 #include "fs/records.h"
 #include "segshare_test_util.h"
@@ -127,12 +129,25 @@ TEST(NameHiding, FlatPseudorandomNamespaceWhenEnabled) {
   auto& alice = rig.connect("alice");
   ASSERT_TRUE(alice.mkdir("/d/").ok());
   ASSERT_TRUE(alice.put_file("/d/f", to_bytes("x")).ok());
-  for (const auto& name : rig.content_store().list()) {
-    if (name.rfind("__segshare", 0) == 0) continue;  // bootstrap blobs
-    // hex HMAC (64 chars) + Protected-FS suffix.
-    EXPECT_GE(name.size(), 64u);
-    EXPECT_EQ(name.find('/'), std::string::npos);
+  // Paged-metadata blobs carry only the map name and a page, table-segment,
+  // journal or manifest index — a fixed grammar with no room for a path.
+  const std::regex amap_blob(
+      R"(__amap:(meta|dedup|group):(dir|t\d+|j\d+|p\d+\.\d+))");
+  std::size_t amap_blobs = 0;
+  for (auto* store : {&rig.content_store(), &rig.group_store()}) {
+    for (const auto& name : store->list()) {
+      if (name.rfind("__segshare", 0) == 0) continue;  // bootstrap blobs
+      if (name.rfind("__amap:", 0) == 0) {
+        EXPECT_TRUE(std::regex_match(name, amap_blob)) << name;
+        ++amap_blobs;
+        continue;
+      }
+      // hex HMAC (64 chars) + Protected-FS suffix.
+      EXPECT_GE(name.size(), 64u) << name;
+      EXPECT_EQ(name.find('/'), std::string::npos) << name;
+    }
   }
+  EXPECT_GT(amap_blobs, 0u) << "the meta and group maps store pages";
   // Listing still works (paths live inside encrypted directory files).
   EXPECT_EQ(alice.list("/d/").listing, std::vector<std::string>{"/d/f"});
 }
@@ -178,7 +193,7 @@ TEST_F(RollbackTest, IndividualFileRollbackDetected) {
   // Roll back the file (content + its own hash header) but not the rest
   // of the tree — the parent bucket hash exposes the stale main hash.
   for (const auto& blob : blobs_of("/f")) rig_.content_store().rollback_blob(blob);
-  const auto [resp, body] = alice.get_file("/f");
+  const proto::Response resp = testutil::get_verdict(alice, "/f");
   EXPECT_EQ(resp.status, proto::Status::kError);
   EXPECT_NE(resp.message.find("rollback"), std::string::npos);
 }
@@ -225,7 +240,7 @@ TEST_F(RollbackTest, WholeFsRollbackDetectedByGuard) {
   ASSERT_TRUE(alice.put_file("/f", to_bytes("v2")).ok());
   rig_.content_store().rollback_all();  // consistent full rollback
   // §V-E: the protected-memory guard holds the fresh root hash.
-  EXPECT_EQ(alice.get_file("/f").first.status, proto::Status::kError);
+  EXPECT_EQ(testutil::get_verdict(alice, "/f").status, proto::Status::kError);
 }
 
 TEST_F(RollbackTest, DeepTreeValidation) {
@@ -239,7 +254,8 @@ TEST_F(RollbackTest, DeepTreeValidation) {
   ASSERT_TRUE(alice.put_file("/a/b/c/deep", to_bytes("v2")).ok());
   for (const auto& blob : blobs_of("/a/b/c/deep"))
     rig_.content_store().rollback_blob(blob);
-  EXPECT_EQ(alice.get_file("/a/b/c/deep").first.status, proto::Status::kError);
+  EXPECT_EQ(testutil::get_verdict(alice, "/a/b/c/deep").status,
+            proto::Status::kError);
   // An untouched sibling file elsewhere still validates.
   ASSERT_TRUE(alice.put_file("/a/ok", to_bytes("fine")).ok());
   EXPECT_EQ(alice.get_file("/a/ok").second, to_bytes("fine"));
@@ -252,7 +268,7 @@ TEST(RollbackCounter, CounterGuardDetectsWholeFsRollback) {
   rig.content_store().snapshot_all();
   ASSERT_TRUE(alice.put_file("/f", to_bytes("v2")).ok());
   rig.content_store().rollback_all();
-  EXPECT_EQ(alice.get_file("/f").first.status, proto::Status::kError);
+  EXPECT_EQ(testutil::get_verdict(alice, "/f").status, proto::Status::kError);
   EXPECT_GT(rig.platform().stats().counter_increments, 0u);
 }
 

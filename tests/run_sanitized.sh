@@ -21,6 +21,11 @@
 #          net_test/wire_test, and the internally-synchronized paged
 #          map's CryptoPool write-back batches, journal group commits
 #          and streaming prefix scans in amap_test/tfm_test.
+#
+# The paged metadata maps are the only metadata implementation, so every
+# default-config test in both modes also runs the meta map (header/object
+# cold tier) and the group membership map, and every dedup test the dedup
+# map — not only the amap-specific tests named above.
 set -eu
 
 repo="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"

@@ -17,16 +17,30 @@ class TfmTest : public ::testing::Test {
  protected:
   TfmTest() : rng_(7), platform_(rng_) {}
 
-  std::unique_ptr<TrustedFileManager> make(EnclaveConfig config) {
+  std::unique_ptr<TrustedFileManager> make(
+      EnclaveConfig config, TrustedFileManager::GuardState guard = {}) {
     return std::make_unique<TrustedFileManager>(
         Stores{content_, group_, dedup_}, Bytes(16, 0x11), rng_, config,
-        &platform_, sgx::measure(to_bytes("test-enclave")));
+        &platform_, measurement_, guard);
+  }
+
+  /// Starts an unrelated deployment on the same platform: empty stores and
+  /// a fresh measurement, so no protected-memory root carries over.
+  void reset_deployment(const std::string& name) {
+    content_.restore({});
+    group_.restore({});
+    dedup_.restore({});
+    measurement_ = sgx::measure(to_bytes(name));
   }
 
   TestRng rng_;
   sgx::SgxPlatform platform_;
   store::MemoryStore content_, group_, dedup_;
+  sgx::Measurement measurement_ = sgx::measure(to_bytes("test-enclave"));
 };
+
+constexpr FsRollbackGuard kGuardModes[] = {FsRollbackGuard::kProtectedMemory,
+                                           FsRollbackGuard::kMonotonicCounter};
 
 TEST_F(TfmTest, WriteReadRemove) {
   auto tfm = make({});
@@ -296,10 +310,14 @@ TEST_F(TfmTest, HeaderTamperDetected) {
   root.add("/f");
   tfm->write("/f", to_bytes("data"));
   tfm->write("/", root.serialize());
-  // Flip a bit in the file's hash header.
+  // Flip a bit in the file's hash header. The meta cold tier keeps
+  // serving the header this enclave wrote, never the tampered copy; the
+  // copy is read, and rejected, once a restart drops the tier.
   auto blob = *content_.get("h:/f");
   blob[10] ^= 1;
   content_.put("h:/f", blob);
+  EXPECT_EQ(tfm->read("/f"), to_bytes("data"));
+  tfm->startup_validation();
   EXPECT_THROW(tfm->read("/f"), Error);
 }
 
@@ -311,6 +329,8 @@ TEST_F(TfmTest, MissingHeaderDetected) {
   tfm->write("/f", to_bytes("data"));
   tfm->write("/", root.serialize());
   content_.remove("h:/f");
+  EXPECT_EQ(tfm->read("/f"), to_bytes("data"));  // warm meta cold tier
+  tfm->startup_validation();
   EXPECT_THROW(tfm->read("/f"), RollbackError);
 }
 
@@ -337,6 +357,14 @@ TEST_F(TfmTest, CounterGuardRequiresPlatform) {
                                   Bytes(16, 1), rng_, config, nullptr,
                                   sgx::Measurement{}),
                EnclaveError);
+  // Caller-supplied counters do not lift the requirement: the amap roots
+  // are guarded in protected memory in every guard mode, so accepting
+  // this configuration would leave them unguarded.
+  sgx::PlatformCounters counters(platform_);
+  EXPECT_THROW(TrustedFileManager(Stores{content_, group_, dedup_},
+                                  Bytes(16, 1), rng_, config, nullptr,
+                                  sgx::Measurement{}, {}, &counters),
+               EnclaveError);
 }
 
 TEST_F(TfmTest, RejectsBadRootKeySize) {
@@ -351,13 +379,11 @@ TEST_F(TfmTest, RejectsBadRootKeySize) {
 EnclaveConfig paged_dedup_config() {
   EnclaveConfig config;
   config.deduplication = true;
-  config.paged_metadata = true;
   return config;
 }
 
 TEST_F(TfmTest, PagedDedupSharesOneCopyAndCollects) {
   auto tfm = make(paged_dedup_config());
-  EXPECT_TRUE(tfm->amap_stats().enabled);
   const Bytes content = rng_.bytes(100'000);
   for (const char* path : {"/a", "/b", "/c"}) {
     auto upload = tfm->begin_upload(path);
@@ -457,38 +483,43 @@ TEST_F(TfmTest, PagedClientSideDedupProbeAndCommit) {
 }
 
 TEST_F(TfmTest, PagedDedupRolledBackIndexFailsClosedAtRestart) {
-  EnclaveConfig config = paged_dedup_config();
-  config.fs_guard = FsRollbackGuard::kProtectedMemory;
-  const Bytes v1 = rng_.bytes(20'000);
-  {
-    auto tfm = make(config);
-    auto up = tfm->begin_upload("/f");
-    up->append(v1);
-    up->finish();
+  for (const FsRollbackGuard mode : kGuardModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    reset_deployment("dedup-" + std::to_string(static_cast<int>(mode)));
+    EnclaveConfig config = paged_dedup_config();
+    config.fs_guard = mode;
+    const Bytes v1 = rng_.bytes(20'000);
+    TrustedFileManager::GuardState guard;
+    {
+      auto tfm = make(config);
+      guard = tfm->guard_state();
+      auto up = tfm->begin_upload("/f");
+      up->append(v1);
+      up->finish();
+    }
+    // Honest restart first: the guarded root matches the stored table.
+    {
+      auto tfm = make(config, guard);
+      EXPECT_NO_THROW(tfm->startup_validation());
+      EXPECT_EQ(tfm->read("/f"), v1);
+    }
+    // Adversary snapshots the dedup store, lets the enclave advance the
+    // index (guard re-arms with it), then rolls the store back wholesale.
+    const auto stale = dedup_.snapshot();
+    {
+      auto tfm = make(config, guard);
+      auto up = tfm->begin_upload("/g");
+      up->append(rng_.bytes(20'000));
+      up->finish();
+    }
+    dedup_.restore(stale);
+    auto tfm = make(config, guard);
+    EXPECT_THROW(tfm->startup_validation(), RollbackError);
   }
-  // Honest restart first: the guarded root matches the stored table.
-  {
-    auto tfm = make(config);
-    EXPECT_NO_THROW(tfm->startup_validation());
-    EXPECT_EQ(tfm->read("/f"), v1);
-  }
-  // Adversary snapshots the dedup store, lets the enclave advance the
-  // index (guard re-arms with it), then rolls the store back wholesale.
-  const auto stale = dedup_.snapshot();
-  {
-    auto tfm = make(config);
-    auto up = tfm->begin_upload("/g");
-    up->append(rng_.bytes(20'000));
-    up->finish();
-  }
-  dedup_.restore(stale);
-  auto tfm = make(config);
-  EXPECT_THROW(tfm->startup_validation(), RollbackError);
 }
 
 TEST_F(TfmTest, PagedMetaColdTierServesHeadersAfterCacheMiss) {
   EnclaveConfig config = rollback_config();
-  config.paged_metadata = true;
   config.metadata_cache_bytes = 0;  // no EPC header cache: amap is the
                                     // only tier between reads and disk
   auto tfm = make(config);
@@ -521,14 +552,8 @@ TEST_F(TfmTest, PagedMetaColdTierServesHeadersAfterCacheMiss) {
 
 // ------------------------------------------ paged group membership ---
 
-EnclaveConfig paged_group_config() {
-  EnclaveConfig config;
-  config.paged_metadata = true;
-  return config;
-}
-
 TEST_F(TfmTest, PagedGroupMembershipRoundtripAndReverseIndex) {
-  auto tfm = make(paged_group_config());
+  auto tfm = make({});
   fs::GroupList groups;
   const auto g1 = groups.create("eng");
   const auto g2 = groups.create("ops");
@@ -558,9 +583,9 @@ TEST_F(TfmTest, PagedGroupMembershipRoundtripAndReverseIndex) {
 }
 
 TEST_F(TfmTest, PagedGroupDeletionScanIsMemberBoundNotStoreBound) {
-  auto tfm = make(paged_group_config());
+  auto tfm = make({});
   // 200 users, each only in their own singleton group; 3 users also share
-  // group 999. The legacy path enumerates every user for any deletion.
+  // group 999.
   for (int i = 0; i < 200; ++i) {
     fs::MemberList members;
     members.add(static_cast<fs::GroupId>(i + 1));
@@ -580,47 +605,65 @@ TEST_F(TfmTest, PagedGroupDeletionScanIsMemberBoundNotStoreBound) {
 }
 
 TEST_F(TfmTest, PagedModeDoesNotMaintainLegacyGroupdir) {
-  EnclaveConfig config = paged_group_config();
+  EnclaveConfig config;
   config.hide_names = false;  // keep group-store names observable
   auto tfm = make(config);
   fs::MemberList members;
   members.add(7);
   for (int i = 0; i < 20; ++i)
     tfm->save_member_list("user" + std::to_string(i), members);
-  // The O(users) groupdir record (rewritten wholesale per new user in
-  // legacy mode) must not exist; enumeration runs off the amap registry.
+  // The O(users) groupdir record of the retired single-blob format must
+  // not exist; enumeration runs off the amap registry.
   for (const auto& name : group_.list())
     EXPECT_EQ(name.find("groupdir"), std::string::npos) << name;
   EXPECT_EQ(tfm->member_list_users().size(), 20u);
+  // The single-blob format itself is gone: asking for it is an error.
+  config.paged_metadata = false;
+  EXPECT_THROW(make(config), EnclaveError);
 }
 
 TEST_F(TfmTest, PagedGroupIndexSurvivesRestartAndGuardsRollback) {
-  EnclaveConfig config = paged_group_config();
-  config.fs_guard = FsRollbackGuard::kProtectedMemory;
-  fs::MemberList members;
-  members.add(1);
-  {
-    auto tfm = make(config);
-    tfm->save_member_list("alice", members);
-    tfm->save_member_list("bob", members);
+  for (const FsRollbackGuard mode : kGuardModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    reset_deployment("group-" + std::to_string(static_cast<int>(mode)));
+    EnclaveConfig config;
+    config.fs_guard = mode;
+    fs::MemberList members;
+    members.add(1);
+    TrustedFileManager::GuardState guard;
+    {
+      auto tfm = make(config);
+      guard = tfm->guard_state();
+      tfm->save_member_list("alice", members);
+      tfm->save_member_list("bob", members);
+    }
+    // Honest restart: the guarded amap root matches the stored index.
+    {
+      auto tfm = make(config, guard);
+      EXPECT_NO_THROW(tfm->startup_validation());
+      EXPECT_EQ(tfm->group_member_users(1),
+                (std::vector<std::string>{"alice", "bob"}));
+    }
+    // Deleting the index's manifest while the guard remembers a root must
+    // fail closed at the next startup, before any request runs.
+    const auto honest = group_.snapshot();
+    group_.remove("__amap:group:dir");
+    EXPECT_THROW(make(config, guard)->startup_validation(), RollbackError);
+    group_.restore(honest);
+    // Wholesale rollback: the adversary snapshots the group store, lets
+    // the enclave add a member, then restores the snapshot.
+    {
+      auto tfm = make(config, guard);
+      tfm->save_member_list("carol", members);
+    }
+    group_.restore(honest);
+    auto tfm = make(config, guard);
+    EXPECT_THROW(tfm->startup_validation(), RollbackError);
   }
-  // Honest restart: the guarded amap root matches the stored index.
-  {
-    auto tfm = make(config);
-    EXPECT_NO_THROW(tfm->startup_validation());
-    EXPECT_EQ(tfm->group_member_users(1),
-              (std::vector<std::string>{"alice", "bob"}));
-  }
-  // Deleting the index's manifest while the guard remembers a root must
-  // fail closed at the next startup, before any request runs.
-  group_.remove("__amap:group:dir");
-  auto tfm = make(config);
-  EXPECT_THROW(tfm->startup_validation(), RollbackError);
 }
 
 TEST_F(TfmTest, PagedValidationWalkKeepsResidentHeadersBounded) {
   EnclaveConfig config = rollback_config();
-  config.paged_metadata = true;
   config.metadata_cache_bytes = 1 << 20;  // room for every header — the
                                           // walk must still not admit them
   config.rollback_buckets = 4;            // big sibling sets per bucket
@@ -648,7 +691,7 @@ TEST_F(TfmTest, PagedValidationWalkKeepsResidentHeadersBounded) {
 }
 
 TEST_F(TfmTest, PagedGroupJournalModeCoalescesBarriers) {
-  EnclaveConfig config = paged_group_config();
+  EnclaveConfig config;
   config.amap_journal_bytes = 64 << 10;
   fs::MemberList members;
   members.add(5);
@@ -665,29 +708,6 @@ TEST_F(TfmTest, PagedGroupJournalModeCoalescesBarriers) {
   tfm->startup_validation();
   EXPECT_GT(tfm->amap_stats().group.journal_replayed, 0u);
   EXPECT_EQ(tfm->group_member_users(5).size(), 10u);
-}
-
-TEST_F(TfmTest, DedupProbeDoesNotMaterializeResidentIndex) {
-  // Legacy (non-paged) mode, satellite check: a read-only probe must not
-  // build a mutable resident copy of the full index.
-  EnclaveConfig config;
-  config.deduplication = true;
-  config.client_side_dedup = true;
-  config.metadata_cache_bytes = 256 * 1024;
-  const Bytes content = rng_.bytes(10'000);
-  {
-    auto tfm = make(config);
-    auto up = tfm->begin_upload("/orig");
-    up->append(content);
-    up->finish();
-  }
-  auto tfm = make(config);  // fresh manager: nothing resident yet
-  EXPECT_FALSE(
-      tfm->commit_by_hash("/copy", crypto::Sha256::hash(to_bytes("absent"))));
-  EXPECT_EQ(tfm->cache_stats().dedup_index.resident_bytes, 0u)
-      << "a missed probe parsed a throwaway index copy, it must not stay";
-  EXPECT_TRUE(tfm->commit_by_hash("/copy", crypto::Sha256::hash(content)));
-  EXPECT_EQ(tfm->read("/copy"), content);
 }
 
 }  // namespace
