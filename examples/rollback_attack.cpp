@@ -21,7 +21,10 @@ using namespace seg;
 // response header (a plain error Response) or mid-stream, after DATA
 // frames are on the wire (an END error trailer the client raises as
 // DownloadAbortedError). Either way the verdict is the enclave's error
-// Response.
+// Response. A flipped chunk (attack 1) is caught by the Protected-FS tag
+// check while streaming; the hash-tree verdicts of attacks 2-4 come
+// before the response header, because every header and record lookup
+// re-validates against the store.
 static proto::Response attempt_get(client::UserClient& who,
                                    const std::string& path) {
   try {
@@ -74,7 +77,8 @@ int main() {
   for (const auto& name : content.list())
     if (name.rfind("f:/policy.txt", 0) == 0 || name == "h:/policy.txt")
       content.rollback_blob(name);
-  auto r2 = attempt_get(alice, "/policy.txt");
+  // The stale header no longer matches its parent's bucket hash.
+  auto r2 = alice.get_file("/policy.txt").first;
   std::printf("  read after rollback: %s (%s)\n",
               proto::status_name(r2.status), r2.message.c_str());
 
@@ -94,7 +98,8 @@ int main() {
   for (const auto& name : content.list())
     if (name.rfind("f:/secret.txt.acl", 0) == 0 || name == "h:/secret.txt.acl")
       content.rollback_blob(name);
-  auto r3 = attempt_get(bob, "/secret.txt");
+  // Same verdict for the ACL: "bucket hash mismatch".
+  auto r3 = bob.get_file("/secret.txt").first;
   std::printf("  bob's read with rolled-back ACL: %s (%s)\n",
               proto::status_name(r3.status), r3.message.c_str());
 
@@ -103,7 +108,9 @@ int main() {
   content.snapshot_all();
   alice.put_file("/ledger.txt", to_bytes("balance: 0 EUR"));
   content.rollback_all();  // perfectly consistent old state, stale balance
-  auto r4 = attempt_get(alice, "/ledger.txt");
+  // Internally consistent, but the root hash no longer matches the
+  // §V-E guard in protected memory.
+  auto r4 = alice.get_file("/ledger.txt").first;
   std::printf("  read after full rollback: %s (%s)\n",
               proto::status_name(r4.status), r4.message.c_str());
 

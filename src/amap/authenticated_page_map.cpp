@@ -1115,55 +1115,6 @@ crypto::Sha256::Digest AuthenticatedPageMap::root() {
   return crypto::Sha256::hash(manifest_bytes());
 }
 
-void AuthenticatedPageMap::clear() {
-  const std::lock_guard lock(mutex_);
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    for (std::size_t i = 0; i < buckets_[b].page_tags.size(); ++i) {
-      charge_io();
-      store_.remove(page_blob(b, i));
-    }
-  }
-  const std::size_t segments =
-      std::max(segment_count(), segment_tags_.size());
-  for (std::size_t seg = 0; seg < segments; ++seg) {
-    charge_io();
-    store_.remove(segment_blob(seg));
-  }
-  for (const auto& [seq, tag] : journal_tags_) {
-    charge_io();
-    store_.remove(journal_blob(seq));
-  }
-  for (const auto& name : deferred_removes_) {
-    charge_io();
-    store_.remove(name);
-  }
-  charge_io();
-  store_.remove(table_blob());
-  if (options_.platform != nullptr) {
-    options_.platform->adjust_epc_resident(
-        -static_cast<std::int64_t>(dirty_bytes_));
-  }
-  dirty_.clear();
-  dirty_bytes_ = 0;
-  cache_.clear();
-  buckets_.assign(options_.initial_buckets, Bucket{});
-  level_ = 0;
-  split_next_ = 0;
-  entries_ = 0;
-  pages_ = 0;
-  table_dirty_ = false;
-  segment_tags_.clear();
-  dirty_segments_.clear();
-  checkpoint_core_.clear();
-  have_checkpoint_ = false;
-  next_journal_seq_ = 0;
-  journal_tags_.clear();
-  journal_total_bytes_ = 0;
-  pending_ops_.clear();
-  deferred_removes_.clear();
-  adjust_table_residency();
-}
-
 void AuthenticatedPageMap::reopen(
     const std::optional<crypto::Sha256::Digest>& expected_root) {
   const std::lock_guard lock(mutex_);

@@ -1,13 +1,13 @@
 // Authenticated paged map — out-of-EPC metadata at millions-of-files
 // scale (DESIGN.md §9).
 //
-// The enclave-resident metadata structures (dedup index, hash-header
-// sidecars, ACL/directory records) stop scaling long before the ROADMAP's
-// millions-of-users target: EPC is small (§II-A), and a dedup index kept
-// as a single blob is re-serialized and re-encrypted on every refcount
-// mutation — O(total files) per PUT/DELETE. This layer moves the
-// bulk of that state to untrusted storage as fixed-size encrypted pages
-// while keeping only a compact page table inside the enclave:
+// The authoritative metadata indexes (dedup refcounts, group membership)
+// stop scaling long before the ROADMAP's millions-of-users target if they
+// live in the enclave: EPC is small (§II-A), and an index kept as a
+// single blob is re-serialized and re-encrypted on every mutation —
+// O(total files) per PUT/DELETE. This layer moves the bulk of that state
+// to untrusted storage as fixed-size encrypted pages while keeping only a
+// compact page table inside the enclave:
 //
 //  * Layout: linear hashing (Litwin). A key maps to a bucket by a keyed
 //    hash; each bucket is a short chain of fixed-size pages. When an
@@ -37,8 +37,8 @@
 //    are pre-drawn serially so stored bytes are deterministic for any
 //    worker count.
 //
-// The map is internally synchronized: concurrent readers populating the
-// cold tier under the file manager's shared lock serialize on one mutex.
+// The map is internally synchronized: concurrent readers scanning it
+// under the file manager's shared lock serialize on one mutex.
 // Crash note: flush() writes pages first and the page-table blob last; a
 // crash in between leaves table and pages inconsistent, which reopen()
 // reports as tampering (fail closed — recoverable via the §V-G restore
@@ -134,10 +134,11 @@ class AuthenticatedPageMap {
   std::optional<Bytes> get(const std::string& key);
 
   /// Inserts or replaces. Returns false (and stores nothing) when
-  /// key+value exceed max_entry_bytes() — callers using the map as a
-  /// cold-tier cache skip oversize records; authoritative callers treat
-  /// false as a hard error. The mutation lands in an in-enclave dirty
-  /// page; durability comes at the next flush()/write-back.
+  /// key+value exceed max_entry_bytes(). Every map is authoritative, so
+  /// callers bound their entry sizes against max_entry_bytes() before
+  /// mutating anything else; a false return is a caller bug. The mutation
+  /// lands in an in-enclave dirty page; durability comes at the next
+  /// flush()/write-back.
   bool put(const std::string& key, BytesView value);
 
   /// Removes the entry; returns whether it existed.
@@ -192,10 +193,6 @@ class AuthenticatedPageMap {
   /// pinned segment tag): the Merkle root pinning the entire map. Flushes
   /// first so the root always describes the persisted state.
   crypto::Sha256::Digest root();
-
-  /// Drops in-enclave state AND deletes every page + the table blob from
-  /// the store. Used for cache-tier maps that restart cold.
-  void clear();
 
   /// Re-loads the page table from the store (restart / §V-G restore),
   /// discarding any in-enclave state. Throws RollbackError when

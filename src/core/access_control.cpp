@@ -12,6 +12,9 @@ std::string AccessControl::default_group_name(const std::string& user) {
 }
 
 fs::GroupId AccessControl::ensure_user(const std::string& user) {
+  // Reject an unindexable name before the group list gains its default
+  // group, so a refused request leaves the group store untouched.
+  tfm_.check_member_name(user);
   fs::GroupList groups = tfm_.load_group_list();
   const std::string default_name = default_group_name(user);
   std::optional<fs::GroupId> gid = groups.find(default_name);

@@ -75,27 +75,27 @@ struct EnclaveConfig {
   /// sequential-read prefetcher that feeds it.
   std::size_t content_cache_bytes = 0;
   /// Byte budget for the in-enclave metadata cache (hash-header sidecars,
-  /// decrypted ACL/directory records). 0 disables it, which keeps stored
-  /// bytes bit-identical to the cached code paths. Cached bytes count against the simulated EPC,
-  /// so oversizing the budget shows up as paging cost, not free speed.
+  /// decrypted ACL/directory records), the one cache between requests and
+  /// the authenticated content store. 0 disables it: every lookup then
+  /// opens the sealed blob and re-validates, and stored bytes stay
+  /// bit-identical to the cached code paths. Cached bytes count against
+  /// the simulated EPC, so oversizing the budget shows up as paging cost,
+  /// not free speed.
   std::size_t metadata_cache_bytes = 0;
   /// Kept only for source compatibility with callers that still assign
-  /// it; it selects nothing. The dedup refcounts, the group membership
-  /// index and the header/object cold tier always live in
-  /// `amap::AuthenticatedPageMap`s (DESIGN.md §9). `false` is rejected
-  /// with EnclaveError.
+  /// it; it selects nothing. The dedup refcounts and the group membership
+  /// index always live in `amap::AuthenticatedPageMap`s (DESIGN.md §9).
+  /// `false` is rejected with EnclaveError.
   bool paged_metadata = true;
   /// EPC byte budget for the clean decrypted-page caches of the paged
-  /// metadata maps (1/8 to the group map, the rest split between the
-  /// dedup map, when on, and the header/object cold-tier map). Counts
-  /// against the simulated EPC.
+  /// metadata maps (1/8 to the group map, the rest to the dedup map when
+  /// deduplication is on). Counts against the simulated EPC.
   std::size_t amap_cache_bytes = 256 * 1024;
   /// Logical page size of the paged metadata maps. Every stored page blob
   /// has this plaintext size (padded), so fill levels don't leak.
   std::size_t amap_page_bytes = 4096;
-  /// Append-journal budget for the authoritative paged maps (dedup index
-  /// and group membership index; the header cold tier restarts cold and
-  /// never journals). 0 keeps the write-back-per-barrier behaviour. >0
+  /// Append-journal budget for the paged maps (dedup index and group
+  /// membership index). 0 keeps the write-back-per-barrier behaviour. >0
   /// turns each drain barrier into a group commit: the barrier's
   /// mutations are sealed as ONE journal record whose sequence number and
   /// GCM tag are bound into the guarded manifest root, and dirty pages

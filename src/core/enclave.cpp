@@ -1162,10 +1162,10 @@ telemetry::Snapshot SegShareEnclave::telemetry_snapshot() {
     snap.gauges["tfm.dedup.refs"] = dedup.refs;
     snap.gauges["tfm.dedup.blobs"] = dedup.blobs;
 
-    // Out-of-EPC paged metadata (DESIGN.md §9). Three instances: the
-    // authoritative dedup and group maps and the header/object cold tier
-    // (the dedup tier exports zeros without deduplication). Names are
-    // fixed strings — no key material or logical names can leak here.
+    // Out-of-EPC paged metadata (DESIGN.md §9). Two instances: the
+    // authoritative dedup and group maps (the dedup tier exports zeros
+    // without deduplication). Names are fixed strings — no key material
+    // or logical names can leak here.
     const TrustedFileManager::AmapStats am = tfm_->amap_stats();
     const auto amap_tier = [&snap](const char* name,
                                    const amap::AuthenticatedPageMap::Stats& s) {
@@ -1194,21 +1194,18 @@ telemetry::Snapshot SegShareEnclave::telemetry_snapshot() {
           s.compaction_reclaimed_pages;
     };
     amap_tier("dedup", am.dedup);
-    amap_tier("meta", am.meta);
     amap_tier("group", am.group);
     // Aggregates across the tiers, for alerting without per-tier queries.
-    snap.gauges["amap.journal.appends"] = am.dedup.journal_appends +
-                                          am.meta.journal_appends +
-                                          am.group.journal_appends;
+    snap.gauges["amap.journal.appends"] =
+        am.dedup.journal_appends + am.group.journal_appends;
     snap.gauges["amap.journal.bytes"] =
-        am.dedup.journal_bytes + am.meta.journal_bytes + am.group.journal_bytes;
+        am.dedup.journal_bytes + am.group.journal_bytes;
     snap.gauges["amap.journal.checkpoints"] =
-        am.dedup.checkpoints + am.meta.checkpoints + am.group.checkpoints;
+        am.dedup.checkpoints + am.group.checkpoints;
     snap.gauges["amap.compaction.runs"] =
-        am.dedup.compactions + am.meta.compactions + am.group.compactions;
+        am.dedup.compactions + am.group.compactions;
     snap.gauges["amap.compaction.reclaimed_pages"] =
         am.dedup.compaction_reclaimed_pages +
-        am.meta.compaction_reclaimed_pages +
         am.group.compaction_reclaimed_pages;
   }
 

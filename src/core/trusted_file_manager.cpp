@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 #include "crypto/gcm.h"
@@ -134,26 +135,16 @@ TrustedFileManager::TrustedFileManager(Stores stores, BytesView root_key,
   base.platform = platform_;
   base.switchless = config_.switchless;
   base.io = store_io_.get();
-  // Budget split: the membership index is tiny next to the dedup index
-  // and the header/object cold tier, so it gets a 1/8 slice and the
-  // rest is split between dedup (when on) and the meta tier.
+  // Budget split: the membership index is tiny next to the dedup index,
+  // so it gets a 1/8 slice and the dedup map (when on) the rest.
   const std::size_t group_slice = config_.amap_cache_bytes / 8;
-  const std::size_t rest = config_.amap_cache_bytes - group_slice;
   if (config_.deduplication) {
     amap::AmapOptions o = base;
     o.name = "dedup";
-    o.cache_bytes = rest / 2;
+    o.cache_bytes = config_.amap_cache_bytes - group_slice;
     o.journal_bytes = config_.amap_journal_bytes;
     dedup_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
         dedup_store_, crypto::hkdf({}, root_key, to_bytes("amap-dedup"), 16),
-        rng, std::move(o));
-  }
-  {
-    amap::AmapOptions o = base;
-    o.name = "meta";
-    o.cache_bytes = rest - (config_.deduplication ? rest / 2 : 0);
-    meta_amap_ = std::make_unique<amap::AuthenticatedPageMap>(
-        content_store_, crypto::hkdf({}, root_key, to_bytes("amap-meta"), 16),
         rng, std::move(o));
   }
   amap::AmapOptions o = base;
@@ -205,13 +196,6 @@ Bytes TrustedFileManager::read(const std::string& logical) const {
   const bool cacheable = is_metadata_object(logical);
   if (cacheable) {
     if (auto hit = object_cache_.get(logical)) return std::move(*hit);
-    // Cold tier: the paged map only ever holds records this enclave
-    // validated and wrote through, so a hit carries the same freshness
-    // argument as the EPC-resident object cache (DESIGN.md §9).
-    if (auto hit = meta_amap_->get("o:" + logical)) {
-      object_cache_.put(logical, *hit, hit->size());
-      return std::move(*hit);
-    }
   }
   Bytes content = raw_read_content(logical);
   if (config_.rollback_protection)
@@ -224,25 +208,17 @@ Bytes TrustedFileManager::read(const std::string& logical) const {
     const auto mac = crypto::HmacSha256::mac(root_key_, data);
     if (to_hex(mac) != hname)
       throw RollbackError("dedup object does not match its name");
-    if (cacheable) {
-      object_cache_.put(logical, data, data.size());
-      meta_amap_->put("o:" + logical, data);
-    }
+    if (cacheable) object_cache_.put(logical, data, data.size());
     return data;
   }
   // Insert only after validation so tampered store content can never
   // poison the cache.
-  if (cacheable) {
-    object_cache_.put(logical, content, content.size());
-    meta_amap_->put("o:" + logical, content);
-  }
+  if (cacheable) object_cache_.put(logical, content, content.size());
   return content;
 }
 
 std::vector<std::string> TrustedFileManager::list(const std::string& dir) const {
-  // read() validates the directory record against the hash tree; the walk
-  // streams sibling headers through the amap cold tier without admitting
-  // them, so the resident header cache stays O(path).
+  // read() validates the directory record against the hash tree.
   return fs::Directory::parse(read(dir)).children();
 }
 
@@ -253,11 +229,9 @@ void TrustedFileManager::write(const std::string& logical, BytesView content) {
   content_fs_.write_file(physical(logical), content);
   if (config_.rollback_protection)
     tree_on_write(logical, crypto::Sha256::hash(content));
-  if (is_metadata_object(logical)) {
+  if (is_metadata_object(logical))
     object_cache_.put(logical, Bytes(content.begin(), content.end()),
                       content.size());
-    meta_amap_->put("o:" + logical, content);
-  }
   flush_paged_metadata();
 }
 
@@ -266,7 +240,6 @@ void TrustedFileManager::remove(const std::string& logical) {
   content_fs_.remove_file(physical(logical));
   if (config_.rollback_protection) tree_on_remove(logical);
   object_cache_.erase(logical);
-  meta_amap_->erase("o:" + logical);
   flush_paged_metadata();
 }
 
@@ -281,12 +254,8 @@ void TrustedFileManager::move_object(const std::string& from,
   }
   object_cache_.erase(from);
   object_cache_.erase(to);
-  meta_amap_->erase("o:" + from);
-  meta_amap_->erase("o:" + to);
-  if (is_metadata_object(to) && !(config_.deduplication && is_link(raw))) {
+  if (is_metadata_object(to) && !(config_.deduplication && is_link(raw)))
     object_cache_.put(to, raw, raw.size());
-    meta_amap_->put("o:" + to, raw);
-  }
 }
 
 std::uint64_t TrustedFileManager::logical_size(
@@ -381,7 +350,6 @@ void TrustedFileManager::Upload::finish() {
     const Bytes link = make_link(hname);
     tfm_.content_fs_.write_file(tfm_.physical(logical_), link);
     tfm_.object_cache_.erase(logical_);
-    tfm_.meta_amap_->erase("o:" + logical_);
     if (tfm_.config_.rollback_protection)
       tfm_.tree_on_write(logical_, crypto::Sha256::hash(link));
     tfm_.flush_paged_metadata();
@@ -390,7 +358,6 @@ void TrustedFileManager::Upload::finish() {
 
   tfm_.content_fs_.rename_file(temp_name_, tfm_.physical(logical_));
   tfm_.object_cache_.erase(logical_);
-  tfm_.meta_amap_->erase("o:" + logical_);
   if (tfm_.config_.rollback_protection)
     tfm_.tree_on_write(logical_, content_hash_.finish());
 }
@@ -424,7 +391,6 @@ bool TrustedFileManager::commit_by_hash(
   const Bytes link = make_link(hname);
   content_fs_.write_file(physical(logical), link);
   object_cache_.erase(logical);
-  meta_amap_->erase("o:" + logical);
   if (config_.rollback_protection)
     tree_on_write(logical, crypto::Sha256::hash(link));
   flush_paged_metadata();
@@ -532,8 +498,20 @@ std::string TrustedFileManager::group_member_key(fs::GroupId group,
   return "g:" + std::to_string(group) + ":" + user;
 }
 
+void TrustedFileManager::check_member_name(const std::string& user) const {
+  // The longest key save_member_list() can write for this user; the empty
+  // value adds nothing. A user the group amap cannot index would be left
+  // out of the authoritative membership index and fail the next guarded
+  // startup validation.
+  const std::string longest = group_member_key(
+      std::numeric_limits<fs::GroupId>::max(), user);
+  if (longest.size() > group_amap_->max_entry_bytes())
+    throw ProtocolError("user name too long for the membership index");
+}
+
 void TrustedFileManager::save_member_list(const std::string& user,
                                           const fs::MemberList& list) {
+  check_member_name(user);
   const std::string record = member_record(user);
   const bool is_new = !group_fs_.exists(group_physical(record));
   // Previous membership for the reverse-index diff — must be read before
@@ -670,40 +648,29 @@ std::size_t TrustedFileManager::header_bytes(const HashHeader& header) {
 }
 
 std::optional<TrustedFileManager::HashHeader> TrustedFileManager::load_header(
-    const std::string& logical, bool admit) const {
+    const std::string& logical) const {
   if (auto cached = header_cache_.get(logical)) return cached;
-  // Cold tier below the EPC-resident header cache: one amap page read
-  // replaces the per-header store round trip + GCM open (the page is
-  // opened once and amortized over every header it holds).
-  std::optional<HashHeader> header;
-  if (const auto hit = meta_amap_->get("h:" + logical)) {
-    header = HashHeader::parse(*hit, config_.rollback_buckets);
-  } else {
-    const auto blob = content_store_.get(header_blob(logical));
-    if (!blob) return std::nullopt;
-    const Bytes plain = crypto::pae_decrypt_with(header_gcm_, *blob,
-                                                 to_bytes("hdr:" + logical));
-    header = HashHeader::parse(plain, config_.rollback_buckets);
-    meta_amap_->put("h:" + logical, plain);
-  }
-  if (admit) header_cache_.put(logical, *header, header_bytes(*header));
+  const auto blob = content_store_.get(header_blob(logical));
+  if (!blob) return std::nullopt;
+  HashHeader header = HashHeader::parse(
+      crypto::pae_decrypt_with(header_gcm_, *blob, to_bytes("hdr:" + logical)),
+      config_.rollback_buckets);
+  header_cache_.put(logical, header, header_bytes(header));
   return header;
 }
 
 void TrustedFileManager::store_header(const std::string& logical,
                                       const HashHeader& header) {
-  const Bytes plain = header.serialize();
   content_store_.put(header_blob(logical),
-                     crypto::pae_encrypt_with(header_gcm_, rng_, plain,
+                     crypto::pae_encrypt_with(header_gcm_, rng_,
+                                              header.serialize(),
                                               to_bytes("hdr:" + logical)));
   header_cache_.put(logical, header, header_bytes(header));
-  meta_amap_->put("h:" + logical, plain);
 }
 
 void TrustedFileManager::remove_header(const std::string& logical) {
   content_store_.remove(header_blob(logical));
   header_cache_.erase(logical);
-  meta_amap_->erase("h:" + logical);
 }
 
 std::size_t TrustedFileManager::bucket_of(const std::string& logical) const {
@@ -853,7 +820,7 @@ TrustedFileManager::tree_validate_structure(const std::string& logical) const {
     const std::size_t bucket = bucket_of(cur);
     mset::MsetXorHash recomputed;
     for (const auto& sibling : bucket_children(parent, bucket)) {
-      const auto sibling_header = load_header(sibling, /*admit=*/false);
+      const auto sibling_header = load_header(sibling);
       if (!sibling_header)
         throw RollbackError("missing hash header for " + sibling);
       recomputed.add(mset_key_, sibling_header->main_hash);
@@ -988,7 +955,6 @@ std::optional<std::uint64_t> TrustedFileManager::dedup_refcount(
 TrustedFileManager::AmapStats TrustedFileManager::amap_stats() const {
   AmapStats out;
   if (dedup_amap_) out.dedup = dedup_amap_->stats();
-  out.meta = meta_amap_->stats();
   out.group = group_amap_->stats();
   return out;
 }
@@ -1001,9 +967,6 @@ std::uint64_t TrustedFileManager::compact_paged_metadata() {
   }
   reclaimed += group_amap_->compact();
   guard_update_amap(*group_amap_, kGroupAmapSlot);
-  // The meta tier is a cache, so compaction is pure space reclamation —
-  // its root is not guarded.
-  reclaimed += meta_amap_->compact();
   return reclaimed;
 }
 
@@ -1054,9 +1017,6 @@ void TrustedFileManager::clear_caches() {
   header_cache_.clear();
   object_cache_.clear();
   content_cache_->clear();
-  // The meta amap is a cache tier: a restart drops it cold (its pages are
-  // deleted, not revalidated — nothing in it survives a trust boundary).
-  meta_amap_->clear();
 }
 
 // ------------------------------------------------------------ maintenance ---

@@ -99,10 +99,7 @@ class TrustedFileManager {
   /// against the hash tree up to the guarded root.
   Bytes read(const std::string& logical) const;
   /// Children of a directory object: a validated read of the directory
-  /// record, parsed. The validation walk streams sibling headers through
-  /// the amap cold tier instead of pinning them in the resident header
-  /// cache, so listing a huge flat directory keeps the
-  /// EPC header footprint O(path), not O(children).
+  /// record, parsed.
   std::vector<std::string> list(const std::string& dir) const;
   void write(const std::string& logical, BytesView content);
   void remove(const std::string& logical);
@@ -176,7 +173,12 @@ class TrustedFileManager {
   void save_group_list(const fs::GroupList& list);
   bool member_list_exists(const std::string& user) const;
   fs::MemberList load_member_list(const std::string& user) const;
+  /// Throws ProtocolError, before any store write, when `user` is too
+  /// long for the group amap's membership keys.
   void save_member_list(const std::string& user, const fs::MemberList& list);
+  /// The name check save_member_list() applies, for callers that must
+  /// reject a user before writing other group-store records.
+  void check_member_name(const std::string& user) const;
   /// All users that have a member list, enumerated from the group amap's
   /// user registry.
   std::vector<std::string> member_list_users() const;
@@ -192,7 +194,8 @@ class TrustedFileManager {
   std::uint64_t dedup_store_bytes() const;
   std::uint64_t group_store_bytes() const;
 
-  /// Snapshot of the in-enclave metadata cache (config.metadata_cache_bytes).
+  /// Snapshot of the in-enclave metadata cache (config.metadata_cache_bytes),
+  /// the one cache between requests and the authenticated store.
   struct CacheStats {
     CacheCounters headers;  // rollback-tree hash-header sidecars
     CacheCounters objects;  // decrypted ACL / directory records
@@ -234,7 +237,6 @@ class TrustedFileManager {
   /// telemetry_snapshot() as amap.*. `dedup` stays zero without dedup.
   struct AmapStats {
     amap::AuthenticatedPageMap::Stats dedup;  // authoritative dedup index
-    amap::AuthenticatedPageMap::Stats meta;   // header/object cold tier
     amap::AuthenticatedPageMap::Stats group;  // membership reverse index
   };
   AmapStats amap_stats() const;
@@ -273,14 +275,10 @@ class TrustedFileManager {
     static HashHeader parse(BytesView data, std::size_t expected_buckets);
   };
 
-  /// Header lookup: resident header cache, then the amap cold tier, then
-  /// the store. `admit = false` is for validation walks over many
-  /// siblings: warm entries are served but misses are NOT admitted into
-  /// the resident header_cache_ (the amap cold tier, whose pages live out
-  /// of EPC under their own budget, absorbs them), so a walk across a huge
-  /// directory (list, startup validation) costs O(path) resident headers.
-  std::optional<HashHeader> load_header(const std::string& logical,
-                                        bool admit = true) const;
+  /// Header lookup: the resident header cache, then the sealed header
+  /// blob in the content store. Misses are admitted; the cache's byte
+  /// budget bounds EPC residency.
+  std::optional<HashHeader> load_header(const std::string& logical) const;
   void store_header(const std::string& logical, const HashHeader& header);
   void remove_header(const std::string& logical);
   std::size_t bucket_of(const std::string& logical) const;
@@ -324,9 +322,7 @@ class TrustedFileManager {
   // Dedup amap (authoritative; dedup mode only): "r:<hname>" → u64
   // refcount, "c:<content-hash>" → hname (client probe), "b:<hname>" →
   // content hash (back-pointer: blob GC erases its client entry in O(page)
-  // instead of scanning the whole client index). Meta amap (cold tier
-  // below header_cache_/object_cache_, cleared on restart): "h:<logical>"
-  // → serialized HashHeader, "o:<logical>" → validated metadata object.
+  // instead of scanning the whole client index).
   //
   // Group amap (DESIGN.md §9.6): authoritative membership index in the
   // group store. "u:<user>" → {} registers a user with a member list;
@@ -337,10 +333,9 @@ class TrustedFileManager {
   static std::string group_user_key(const std::string& user);
   static std::string group_member_key(fs::GroupId group,
                                       const std::string& user);
-  /// Drain barriers: write back the authoritative map's dirty pages and
-  /// re-guard its root — after every dedup-mutating operation and every
-  /// membership mutation respectively. The meta amap needs no barrier
-  /// (pure cache; its internal auto-flush only bounds EPC).
+  /// Drain barriers: write back the map's dirty pages and re-guard its
+  /// root — after every dedup-mutating operation and every membership
+  /// mutation respectively.
   void flush_paged_metadata();
   void flush_paged_group();
   /// Guards an authoritative map's root in protected-memory slot `slot`
@@ -405,18 +400,18 @@ class TrustedFileManager {
   mset::MsetXorHash group_root_;
   // Metadata caches (budget split between headers and objects; a zero
   // config budget disables them and keeps the uncached code paths exact).
+  // Entries are only ever inserted after validation or by this enclave's
+  // own writes, so they are the single cache over the authenticated store.
   mutable LruCache<HashHeader> header_cache_;
   mutable LruCache<Bytes> object_cache_;
   // Dedup accounting gets its own mutex so dedup_stats() can poll it
   // while uploads run.
   mutable std::mutex dedup_stats_mutex_;
   DedupStats dedup_stats_;  // guarded by dedup_stats_mutex_
-  // Paged metadata maps (dedup_amap_ is null without deduplication). All
-  // are internally synchronized; meta_amap_ is mutable because read paths
-  // populate the cold tier under the shared fs lock, group_amap_ because
-  // member enumerations are scans from const read paths.
+  // Paged metadata maps (dedup_amap_ is null without deduplication). Both
+  // are internally synchronized; group_amap_ is mutable because member
+  // enumerations are scans from const read paths.
   std::unique_ptr<amap::AuthenticatedPageMap> dedup_amap_;
-  mutable std::unique_ptr<amap::AuthenticatedPageMap> meta_amap_;
   mutable std::unique_ptr<amap::AuthenticatedPageMap> group_amap_;
 };
 

@@ -738,16 +738,5 @@ TEST_F(AmapAdversaryTest, ReplayedStaleTableSegmentFailsClosed) {
   EXPECT_THROW(make(options()), RollbackError);
 }
 
-TEST_F(AmapAdversaryTest, ClearRemovesEveryBlob) {
-  auto map = populated();
-  ASSERT_FALSE(page_blobs().empty());
-  map->clear();
-  EXPECT_TRUE(page_blobs().empty());
-  EXPECT_FALSE(adversary_.exists("__amap:t:dir"));
-  EXPECT_EQ(map->entry_count(), 0u);
-  EXPECT_TRUE(map->put("fresh", val("1")));
-  EXPECT_EQ(map->get("fresh"), val("1"));
-}
-
 }  // namespace
 }  // namespace seg::amap

@@ -223,7 +223,7 @@ TEST(MetadataCacheTest, ResidencyIsChargedToTheEpcModel) {
   // to the same model, so the platform total reconciles with both tiers.
   std::uint64_t amap_resident = 0;
   const auto amap = world.tfm->amap_stats();
-  for (const auto* s : {&amap.dedup, &amap.meta, &amap.group})
+  for (const auto* s : {&amap.dedup, &amap.group})
     amap_resident += s->cache_resident_bytes + s->dirty_bytes + s->table_bytes;
   EXPECT_EQ(world.platform.epc_resident_bytes(),
             world.tfm->cache_stats().resident_bytes() + amap_resident);

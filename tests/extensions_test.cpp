@@ -132,7 +132,7 @@ TEST(NameHiding, FlatPseudorandomNamespaceWhenEnabled) {
   // Paged-metadata blobs carry only the map name and a page, table-segment,
   // journal or manifest index — a fixed grammar with no room for a path.
   const std::regex amap_blob(
-      R"(__amap:(meta|dedup|group):(dir|t\d+|j\d+|p\d+\.\d+))");
+      R"(__amap:(dedup|group):(dir|t\d+|j\d+|p\d+\.\d+))");
   std::size_t amap_blobs = 0;
   for (auto* store : {&rig.content_store(), &rig.group_store()}) {
     for (const auto& name : store->list()) {
@@ -147,7 +147,7 @@ TEST(NameHiding, FlatPseudorandomNamespaceWhenEnabled) {
       EXPECT_EQ(name.find('/'), std::string::npos) << name;
     }
   }
-  EXPECT_GT(amap_blobs, 0u) << "the meta and group maps store pages";
+  EXPECT_GT(amap_blobs, 0u) << "the group map stores pages";
   // Listing still works (paths live inside encrypted directory files).
   EXPECT_EQ(alice.list("/d/").listing, std::vector<std::string>{"/d/f"});
 }
@@ -193,7 +193,7 @@ TEST_F(RollbackTest, IndividualFileRollbackDetected) {
   // Roll back the file (content + its own hash header) but not the rest
   // of the tree — the parent bucket hash exposes the stale main hash.
   for (const auto& blob : blobs_of("/f")) rig_.content_store().rollback_blob(blob);
-  const proto::Response resp = testutil::get_verdict(alice, "/f");
+  const auto [resp, body] = alice.get_file("/f");
   EXPECT_EQ(resp.status, proto::Status::kError);
   EXPECT_NE(resp.message.find("rollback"), std::string::npos);
 }
@@ -240,7 +240,7 @@ TEST_F(RollbackTest, WholeFsRollbackDetectedByGuard) {
   ASSERT_TRUE(alice.put_file("/f", to_bytes("v2")).ok());
   rig_.content_store().rollback_all();  // consistent full rollback
   // §V-E: the protected-memory guard holds the fresh root hash.
-  EXPECT_EQ(testutil::get_verdict(alice, "/f").status, proto::Status::kError);
+  EXPECT_EQ(alice.get_file("/f").first.status, proto::Status::kError);
 }
 
 TEST_F(RollbackTest, DeepTreeValidation) {
@@ -254,8 +254,7 @@ TEST_F(RollbackTest, DeepTreeValidation) {
   ASSERT_TRUE(alice.put_file("/a/b/c/deep", to_bytes("v2")).ok());
   for (const auto& blob : blobs_of("/a/b/c/deep"))
     rig_.content_store().rollback_blob(blob);
-  EXPECT_EQ(testutil::get_verdict(alice, "/a/b/c/deep").status,
-            proto::Status::kError);
+  EXPECT_EQ(alice.get_file("/a/b/c/deep").first.status, proto::Status::kError);
   // An untouched sibling file elsewhere still validates.
   ASSERT_TRUE(alice.put_file("/a/ok", to_bytes("fine")).ok());
   EXPECT_EQ(alice.get_file("/a/ok").second, to_bytes("fine"));
@@ -268,7 +267,7 @@ TEST(RollbackCounter, CounterGuardDetectsWholeFsRollback) {
   rig.content_store().snapshot_all();
   ASSERT_TRUE(alice.put_file("/f", to_bytes("v2")).ok());
   rig.content_store().rollback_all();
-  EXPECT_EQ(testutil::get_verdict(alice, "/f").status, proto::Status::kError);
+  EXPECT_EQ(alice.get_file("/f").first.status, proto::Status::kError);
   EXPECT_GT(rig.platform().stats().counter_increments, 0u);
 }
 
@@ -286,6 +285,25 @@ TEST(RollbackMemberList, GroupStoreRollbackDetected) {
   rig.group_store().rollback_all();  // revive bob's membership
   // The enclave's in-memory group-record hashes flag the stale list.
   EXPECT_NE(bob.get_file("/f").first.status, proto::Status::kOk);
+}
+
+TEST(RollbackMemberList, OverlongMemberNameIsRefusedAndRestartValidates) {
+  Rig rig(rollback_config());
+  auto& alice = rig.connect("alice");
+  ASSERT_TRUE(alice.add_user_to_group("bob", "team").ok());
+  auto& group = static_cast<store::MemoryStore&>(rig.group_store().inner());
+  auto& content = static_cast<store::MemoryStore&>(rig.content_store().inner());
+  const auto group_before = group.snapshot();
+  const auto content_before = content.snapshot();
+  // Any group owner picks member names. One whose membership-index key
+  // cannot fit an amap page must be refused before anything is written,
+  // or the guarded group root no longer matches the index at restart.
+  EXPECT_EQ(alice.add_user_to_group(std::string(5000, 'x'), "team").status,
+            proto::Status::kBadRequest);
+  EXPECT_EQ(group.snapshot(), group_before);
+  EXPECT_EQ(content.snapshot(), content_before);
+  EXPECT_NO_THROW(rig.enclave().file_manager().startup_validation());
+  EXPECT_TRUE(alice.add_user_to_group("carol", "team").ok());
 }
 
 // --------------------------------------------------- client-side dedup ---

@@ -194,9 +194,8 @@ TEST(RoteIntegration, WholeFsGuardOnDistributedCounters) {
   content.snapshot_all();
   ASSERT_TRUE(alice.put_file("/f", to_bytes("v2")).ok());
   content.rollback_all();
-  // Whole-FS rollback detected (the fresh root header stays in the meta
-  // cold tier, so the verdict comes from the streamed content hash).
-  EXPECT_EQ(testutil::get_verdict(alice, "/f").status, proto::Status::kError);
+  // Whole-FS rollback detected via the distributed counter.
+  EXPECT_EQ(alice.get_file("/f").first.status, proto::Status::kError);
   // A minority replica wipe does not produce false positives.
   q.replicas[2]->wipe();
   ASSERT_TRUE(alice.put_file("/g", to_bytes("fresh")).ok());

@@ -22,10 +22,11 @@
 #          map's CryptoPool write-back batches, journal group commits
 #          and streaming prefix scans in amap_test/tfm_test.
 #
-# The paged metadata maps are the only metadata implementation, so every
-# default-config test in both modes also runs the meta map (header/object
-# cold tier) and the group membership map, and every dedup test the dedup
-# map — not only the amap-specific tests named above.
+# The paged maps are the only implementation of the authoritative
+# indexes, so every default-config test in both modes also runs the group
+# membership map, and every dedup test the dedup map — not only the
+# amap-specific tests named above. Headers and ACL/directory records have
+# no paged tier; they run through the EPC metadata cache alone.
 set -eu
 
 repo="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"

@@ -69,16 +69,4 @@ class Rig {
   std::vector<std::unique_ptr<client::UserClient>> clients_;
 };
 
-/// Verdict of a GET. A rollback caught only by the streamed content hash
-/// arrives in the download's error trailer instead of the response header;
-/// both carry the enclave's status and message.
-inline proto::Response get_verdict(client::UserClient& client,
-                                   const std::string& path) {
-  try {
-    return client.get_file(path).first;
-  } catch (const client::DownloadAbortedError& e) {
-    return e.response();
-  }
-}
-
 }  // namespace seg::testutil

@@ -352,26 +352,28 @@ TEST(Stats, ExportsAmapGauges) {
   EXPECT_GT(snap.gauge("amap.dedup.writeback_batches"), 0u);
   EXPECT_EQ(snap.gauge("amap.dedup.dirty_pages"), 0u);  // flushed at barriers
   EXPECT_GT(snap.gauge("amap.dedup.table_bytes"), 0u);
-  EXPECT_GT(snap.gauge("amap.meta.entries"), 0u);  // object cold tier filled
-  EXPECT_GT(snap.gauge("amap.meta.budget_bytes"), 0u);
+  EXPECT_GT(snap.gauge("amap.group.entries"), 0u);  // alice's registration
+  EXPECT_GT(snap.gauge("amap.group.budget_bytes"), 0u);
   // The per-map stats exported are the in-process accessors' numbers.
   const auto amap = rig.enclave().file_manager().amap_stats();
   EXPECT_EQ(snap.gauge("amap.dedup.page_hits"), amap.dedup.page_hits);
-  EXPECT_EQ(snap.gauge("amap.meta.page_misses"), amap.meta.page_misses);
+  EXPECT_EQ(snap.gauge("amap.group.page_misses"), amap.group.page_misses);
   // Amap pages count against the simulated EPC via the residency model.
   EXPECT_GE(snap.gauge("sgx.epc_resident_bytes"),
             snap.gauge("amap.dedup.resident_bytes") +
                 snap.gauge("amap.dedup.table_bytes"));
 
-  // Deployments without dedup export the dedup tier as zeros, not gaps;
-  // the meta cold tier runs in every deployment.
+  // Deployments without dedup export the dedup tier as zeros, not gaps.
+  // Headers and ACL/directory records have no paged tier at all.
   Rig plain;
   auto& bob = plain.connect("bob");
   ASSERT_TRUE(bob.put_file("/b", to_bytes("x")).ok());
   const auto [response2, snap2] = bob.stats();
   ASSERT_TRUE(response2.ok());
   EXPECT_EQ(snap2.gauge("amap.dedup.entries"), 0u);
-  EXPECT_GT(snap2.gauge("amap.meta.entries"), 0u);
+  EXPECT_GT(snap2.gauge("amap.group.entries"), 0u);
+  for (const auto& [name, value] : snap2.gauges)
+    EXPECT_NE(name.rfind("amap.meta.", 0), 0u) << name;
 }
 
 TEST(Stats, ExportsAmapJournalAndCompactionGauges) {
@@ -398,7 +400,6 @@ TEST(Stats, ExportsAmapJournalAndCompactionGauges) {
   // Aggregates fold the tiers.
   EXPECT_EQ(snap.gauge("amap.journal.appends"),
             snap.gauge("amap.dedup.journal.appends") +
-                snap.gauge("amap.meta.journal.appends") +
                 snap.gauge("amap.group.journal.appends"));
   EXPECT_EQ(snap.gauge("amap.compaction.runs"), 0u);
 

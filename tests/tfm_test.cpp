@@ -310,14 +310,10 @@ TEST_F(TfmTest, HeaderTamperDetected) {
   root.add("/f");
   tfm->write("/f", to_bytes("data"));
   tfm->write("/", root.serialize());
-  // Flip a bit in the file's hash header. The meta cold tier keeps
-  // serving the header this enclave wrote, never the tampered copy; the
-  // copy is read, and rejected, once a restart drops the tier.
+  // Flip a bit in the file's hash header.
   auto blob = *content_.get("h:/f");
   blob[10] ^= 1;
   content_.put("h:/f", blob);
-  EXPECT_EQ(tfm->read("/f"), to_bytes("data"));
-  tfm->startup_validation();
   EXPECT_THROW(tfm->read("/f"), Error);
 }
 
@@ -329,8 +325,6 @@ TEST_F(TfmTest, MissingHeaderDetected) {
   tfm->write("/f", to_bytes("data"));
   tfm->write("/", root.serialize());
   content_.remove("h:/f");
-  EXPECT_EQ(tfm->read("/f"), to_bytes("data"));  // warm meta cold tier
-  tfm->startup_validation();
   EXPECT_THROW(tfm->read("/f"), RollbackError);
 }
 
@@ -518,38 +512,6 @@ TEST_F(TfmTest, PagedDedupRolledBackIndexFailsClosedAtRestart) {
   }
 }
 
-TEST_F(TfmTest, PagedMetaColdTierServesHeadersAfterCacheMiss) {
-  EnclaveConfig config = rollback_config();
-  config.metadata_cache_bytes = 0;  // no EPC header cache: amap is the
-                                    // only tier between reads and disk
-  auto tfm = make(config);
-  tfm->write("/", fs::Directory{}.serialize());
-  fs::Directory root;
-  for (int i = 0; i < 16; ++i) {
-    const std::string path = "/f" + std::to_string(i);
-    root.add(path);
-    tfm->write(path, to_bytes("content-" + std::to_string(i)));
-  }
-  tfm->write("/", root.serialize());
-  const auto cold = tfm->amap_stats().meta;
-  EXPECT_GT(cold.entries, 0u);  // headers were written through
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(tfm->read("/f" + std::to_string(i)),
-              to_bytes("content-" + std::to_string(i)));
-  }
-  const auto warm = tfm->amap_stats().meta;
-  EXPECT_GT(warm.page_hits + warm.page_misses,
-            cold.page_hits + cold.page_misses);
-  // Still a cache: a restart drops the tier cold, then the validation
-  // walk itself repopulates it through the write-through path — nothing
-  // cached before the restart is ever trusted across it.
-  const auto before_restart = tfm->amap_stats().meta;
-  tfm->startup_validation();
-  const auto after_restart = tfm->amap_stats().meta;
-  EXPECT_LT(after_restart.entries, before_restart.entries);
-  EXPECT_EQ(tfm->read("/f3"), to_bytes("content-3"));
-}
-
 // ------------------------------------------ paged group membership ---
 
 TEST_F(TfmTest, PagedGroupMembershipRoundtripAndReverseIndex) {
@@ -662,10 +624,36 @@ TEST_F(TfmTest, PagedGroupIndexSurvivesRestartAndGuardsRollback) {
   }
 }
 
+TEST_F(TfmTest, OverlongMemberNameIsRejectedBeforeAnyStoreWrite) {
+  for (const FsRollbackGuard mode : kGuardModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    reset_deployment("long-name-" + std::to_string(static_cast<int>(mode)));
+    EnclaveConfig config;
+    config.fs_guard = mode;
+    fs::MemberList members;
+    members.add(7);
+    TrustedFileManager::GuardState guard;
+    {
+      auto tfm = make(config);
+      guard = tfm->guard_state();
+      tfm->save_member_list("bob", members);
+      // "g:7:<name>" cannot fit one amap page: indexing it is impossible,
+      // so the whole save must be refused with nothing written.
+      const auto before = group_.snapshot();
+      EXPECT_THROW(tfm->save_member_list(std::string(5000, 'x'), members),
+                   ProtocolError);
+      EXPECT_EQ(group_.snapshot(), before);
+      EXPECT_EQ(tfm->group_member_users(7), std::vector<std::string>{"bob"});
+    }
+    auto tfm = make(config, guard);
+    EXPECT_NO_THROW(tfm->startup_validation());
+    EXPECT_EQ(tfm->member_list_users(), std::vector<std::string>{"bob"});
+  }
+}
+
 TEST_F(TfmTest, PagedValidationWalkKeepsResidentHeadersBounded) {
   EnclaveConfig config = rollback_config();
-  config.metadata_cache_bytes = 1 << 20;  // room for every header — the
-                                          // walk must still not admit them
+  config.metadata_cache_bytes = 8 << 10;  // 4 KiB of headers: ~50 leaves
   config.rollback_buckets = 4;            // big sibling sets per bucket
   auto tfm = make(config);
   tfm->write("/", fs::Directory{}.serialize());
@@ -676,18 +664,66 @@ TEST_F(TfmTest, PagedValidationWalkKeepsResidentHeadersBounded) {
     tfm->write(path, to_bytes("x"));
   }
   tfm->write("/", root.serialize());
-  tfm->startup_validation();  // restart: every cache tier dropped
-  // One validated read re-walks ~a quarter of the sibling headers (its
-  // bucket's chain). They must stream through the amap cold tier, not
-  // accumulate in the EPC-resident header cache.
-  EXPECT_EQ(tfm->read("/f5"), to_bytes("x"));
-  EXPECT_LT(tfm->cache_stats().headers.resident_bytes, 10'000u)
-      << "sibling headers leaked into the resident header cache";
-  EXPECT_GT(tfm->amap_stats().meta.entries, 20u)
-      << "the walk must repopulate the amap cold tier instead";
-  // The listing path keeps the same bound.
+  tfm->startup_validation();  // restart: every cache dropped
+  // Each validated read re-walks its bucket's sibling headers; across all
+  // reads and the listing the walk touches every header, more than the
+  // budget holds. The byte-budgeted LRU evicts instead of growing.
+  const std::uint64_t budget = tfm->cache_stats().headers.budget_bytes;
+  ASSERT_EQ(budget, config.metadata_cache_bytes / 2);
+  for (int i = 0; i < 120; ++i) {
+    EXPECT_EQ(tfm->read("/f" + std::to_string(i)), to_bytes("x"));
+    EXPECT_LE(tfm->cache_stats().headers.resident_bytes, budget);
+  }
   EXPECT_EQ(tfm->list("/").size(), 120u);
-  EXPECT_LT(tfm->cache_stats().headers.resident_bytes, 10'000u);
+  const auto headers = tfm->cache_stats().headers;
+  EXPECT_LE(headers.resident_bytes, budget);
+  EXPECT_GT(headers.evictions, 0u) << "the walk must outgrow the budget";
+}
+
+TEST_F(TfmTest, ReadsAfterRestartNeverWriteTheStores) {
+  // Lookups after a restart miss every cache. A miss must be served from
+  // the authenticated store without writing anything back to it.
+  EnclaveConfig config = rollback_config();
+  config.metadata_cache_bytes = 64 << 10;
+  constexpr int kDirs = 40;
+  constexpr int kFilesPerDir = 50;  // many small directories keep the
+                                    // O(siblings) walk of each read short
+  {
+    auto tfm = make(config);
+    tfm->write("/", fs::Directory{}.serialize());
+    fs::Directory root;
+    for (int d = 0; d < kDirs; ++d) {
+      const std::string dir = "/d" + std::to_string(d) + "/";
+      tfm->write(dir, fs::Directory{}.serialize());
+      fs::Directory listing;
+      for (int f = 0; f < kFilesPerDir; ++f) {
+        const std::string file = dir + "f" + std::to_string(f);
+        listing.add(file);
+        tfm->write(file, to_bytes(file));
+      }
+      tfm->write(dir, listing.serialize());
+      root.add(dir);
+    }
+    tfm->write("/", root.serialize());
+  }
+  auto tfm = make(config);
+  tfm->startup_validation();
+  for (auto* store : {&content_, &group_, &dedup_}) store->reset_op_counts();
+  ASSERT_EQ(tfm->list("/").size(), static_cast<std::size_t>(kDirs));
+  for (int d = 0; d < kDirs; ++d) {
+    const std::string dir = "/d" + std::to_string(d) + "/";
+    ASSERT_EQ(tfm->list(dir).size(), static_cast<std::size_t>(kFilesPerDir));
+    for (int f = 0; f < kFilesPerDir; ++f) {
+      const std::string file = dir + "f" + std::to_string(f);
+      ASSERT_EQ(tfm->read(file), to_bytes(file));
+    }
+  }
+  EXPECT_GT(content_.op_counts().gets, 0u);
+  for (auto* store : {&content_, &group_, &dedup_}) {
+    EXPECT_EQ(store->op_counts().puts, 0u);
+    EXPECT_EQ(store->op_counts().removes, 0u);
+    EXPECT_EQ(store->op_counts().renames, 0u);
+  }
 }
 
 TEST_F(TfmTest, PagedGroupJournalModeCoalescesBarriers) {
